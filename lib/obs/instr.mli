@@ -23,12 +23,10 @@ val maxmin_iterations : Metrics.counter  (** Water-filling rounds across all sol
 
 (** Incremental-solver counters ([Sim.Maxmin.Incremental], batched per
     engine and published when a run completes, like the engine's own
-    counters). An {e inc} refresh re-solved only the components reachable
-    from changed flows; a {e full} refresh re-solved every component
-    (dirty set above the fallback threshold). [dirty + skipped] flows sum
-    to the flows alive across all refreshes, so
-    [skipped / (dirty + skipped)] is the fraction of rate computations the
-    incremental solver avoided. *)
+    counters). Every refresh re-solves every component, so it counts as
+    {e full}; [dirty_flows] sums the flows solved and [inc_iterations] the
+    water-fill rounds. [inc_refreshes] and [skipped_flows] are kept for
+    the benchmark's readers but stay 0. *)
 
 val maxmin_inc_refreshes : Metrics.counter
 val maxmin_full_refreshes : Metrics.counter
@@ -36,7 +34,6 @@ val maxmin_component_solves : Metrics.counter
 val maxmin_inc_iterations : Metrics.counter
 val maxmin_dirty_flows : Metrics.counter
 val maxmin_skipped_flows : Metrics.counter
-val maxmin_dirty_set_max : Metrics.gauge
 
 (** {2 Scheduling ([Core.Cpa]/[Hcpa]/[Rats])} *)
 

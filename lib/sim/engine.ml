@@ -8,10 +8,8 @@ module Inc = Maxmin.Incremental
 type flow = {
   links : int array;
   rate_cap : float;
-  mutable remaining : float;
+  bytes : float;
   on_complete : t -> unit;
-  mutable handle : Inc.handle;  (* solver slot while active; -1 otherwise *)
-  mutable rate : float;  (* fair rate as of the last refresh *)
 }
 
 and t = {
@@ -19,8 +17,13 @@ and t = {
   mutable time : float;
   events : (t -> unit) Pqueue.t;
   solver : Inc.t;
-  mutable flows : flow array;  (* active, transferring: indices < n_flows,
-                                  in activation order *)
+  (* Active, transferring flows in activation order: index [i < n_flows]
+     of the four parallel arrays describes one flow. Keeping the per-flow
+     floats in flat arrays lets the drain loop update them unboxed. *)
+  mutable flows : flow array;
+  mutable handle : Inc.handle array;  (* solver slot *)
+  mutable remaining : float array;  (* bytes left to transfer *)
+  mutable rate : float array;  (* fair rate as of the last refresh *)
   mutable n_flows : int;
   mutable rates_valid : bool;
   (* Plain (single-domain) observability counters; published to the global
@@ -32,14 +35,7 @@ and t = {
 }
 
 let dummy_flow =
-  {
-    links = [||];
-    rate_cap = infinity;
-    remaining = 0.;
-    on_complete = (fun _ -> ());
-    handle = -1;
-    rate = 0.;
-  }
+  { links = [||]; rate_cap = infinity; bytes = 0.; on_complete = (fun _ -> ()) }
 
 let create cluster =
   {
@@ -52,6 +48,9 @@ let create cluster =
         ~capacity:(fun l -> (Cluster.link cluster l).Rats_platform.Link.bandwidth)
         ();
     flows = Array.make 64 dummy_flow;
+    handle = Array.make 64 (-1);
+    remaining = Array.make 64 0.;
+    rate = Array.make 64 0.;
     n_flows = 0;
     rates_valid = false;
     events_processed = 0;
@@ -70,15 +69,24 @@ let at t time f =
 
 let after t delay f = at t (t.time +. Float.max 0. delay) f
 
+let grow a n init =
+  let bigger = Array.make (2 * n) init in
+  Array.blit a 0 bigger 0 n;
+  bigger
+
 let activate_flow t flow =
-  flow.handle <- Inc.add t.solver ~links:flow.links ~rate_cap:flow.rate_cap;
-  if t.n_flows = Array.length t.flows then begin
-    let bigger = Array.make (2 * t.n_flows) dummy_flow in
-    Array.blit t.flows 0 bigger 0 t.n_flows;
-    t.flows <- bigger
+  let n = t.n_flows in
+  if n = Array.length t.flows then begin
+    t.flows <- grow t.flows n dummy_flow;
+    t.handle <- grow t.handle n (-1);
+    t.remaining <- grow t.remaining n 0.;
+    t.rate <- grow t.rate n 0.
   end;
-  t.flows.(t.n_flows) <- flow;
-  t.n_flows <- t.n_flows + 1;
+  t.flows.(n) <- flow;
+  t.handle.(n) <- Inc.add t.solver ~links:flow.links ~rate_cap:flow.rate_cap;
+  t.remaining.(n) <- flow.bytes;
+  t.rate.(n) <- 0.;
+  t.n_flows <- n + 1;
   t.rates_valid <- false
 
 let start_flow t ~src ~dst ~bytes ~on_complete =
@@ -90,10 +98,7 @@ let start_flow t ~src ~dst ~bytes ~on_complete =
   else begin
     let latency = Cluster.one_way_latency t.cluster ~route in
     let rate_cap = Cluster.flow_rate_cap t.cluster ~route in
-    let flow =
-      { links = route; rate_cap; remaining = bytes; on_complete;
-        handle = -1; rate = 0. }
-    in
+    let flow = { links = route; rate_cap; bytes; on_complete } in
     after t latency (fun t -> activate_flow t flow)
   end
 
@@ -102,8 +107,7 @@ let active_flows t = t.n_flows
 let refresh_rates t =
   Inc.refresh t.solver;
   for i = 0 to t.n_flows - 1 do
-    let f = t.flows.(i) in
-    f.rate <- Inc.rate t.solver f.handle
+    t.rate.(i) <- Inc.rate t.solver t.handle.(i)
   done;
   t.rates_valid <- true
 
@@ -113,10 +117,15 @@ let eps_bytes = 1e-6
 let next_flow_completion t =
   let acc = ref infinity in
   for i = 0 to t.n_flows - 1 do
-    let f = t.flows.(i) in
-    if f.rate > 0. then acc := Float.min !acc (t.time +. (f.remaining /. f.rate))
+    let rate = t.rate.(i) in
+    if rate > 0. then acc := Float.min !acc (t.time +. (t.remaining.(i) /. rate))
   done;
   !acc
+
+(* Date of the next flow completion or queued event, whichever is first. *)
+let next_date t =
+  if not t.rates_valid then refresh_rates t;
+  Float.min (next_flow_completion t) (Pqueue.min_prio t.events)
 
 (* Advance the clock to [date], draining flow payloads at current rates. A
    flow also counts as finished when its residue would drain within a
@@ -126,8 +135,7 @@ let advance_to t date =
   let dt = date -. t.time in
   if dt > 0. then
     for i = 0 to t.n_flows - 1 do
-      let f = t.flows.(i) in
-      f.remaining <- f.remaining -. (f.rate *. dt)
+      t.remaining.(i) <- t.remaining.(i) -. (t.rate.(i) *. dt)
     done;
   t.time <- date;
   (* Compact survivors in place; finished flows accumulate newest-first
@@ -136,54 +144,44 @@ let advance_to t date =
   let finished = ref [] in
   let live = ref 0 in
   for i = 0 to t.n_flows - 1 do
-    let f = t.flows.(i) in
-    if f.remaining <= eps_bytes +. (f.rate *. 1e-9) then
-      finished := f :: !finished
+    if t.remaining.(i) <= eps_bytes +. (t.rate.(i) *. 1e-9) then begin
+      Inc.remove t.solver t.handle.(i);
+      t.events_processed <- t.events_processed + 1;
+      finished := t.flows.(i) :: !finished
+    end
     else begin
-      t.flows.(!live) <- f;
-      incr live
+      let j = !live in
+      if j < i then begin
+        t.flows.(j) <- t.flows.(i);
+        t.handle.(j) <- t.handle.(i);
+        t.remaining.(j) <- t.remaining.(i);
+        t.rate.(j) <- t.rate.(i)
+      end;
+      live := j + 1
     end
   done;
   match !finished with
   | [] -> ()
   | fin ->
-      for i = !live to t.n_flows - 1 do
-        t.flows.(i) <- dummy_flow
-      done;
+      Array.fill t.flows !live (t.n_flows - !live) dummy_flow;
       t.n_flows <- !live;
       t.rates_valid <- false;
-      List.iter
-        (fun f ->
-          Inc.remove t.solver f.handle;
-          f.handle <- -1;
-          t.events_processed <- t.events_processed + 1)
-        fin;
       List.iter (fun f -> f.on_complete t) fin
 
 let step t =
-  if not t.rates_valid then refresh_rates t;
-  let t_flow = next_flow_completion t in
-  let t_event =
-    match Pqueue.peek t.events with None -> infinity | Some (d, _) -> d
-  in
-  let date = Float.min t_flow t_event in
+  let date = next_date t in
   if date = infinity then false
   else begin
     advance_to t date;
     (* Run every callback scheduled at this date (callbacks may enqueue more
        work at the same date; keep draining). *)
-    let rec drain () =
-      match Pqueue.peek t.events with
-      | Some (d, _) when d <= t.time +. 1e-15 -> (
-          match Pqueue.pop t.events with
-          | Some (_, f) ->
-              t.events_processed <- t.events_processed + 1;
-              f t;
-              drain ()
-          | None -> ())
-      | _ -> ()
-    in
-    drain ();
+    while Pqueue.min_prio t.events <= t.time +. 1e-15 do
+      match Pqueue.pop t.events with
+      | Some (_, f) ->
+          t.events_processed <- t.events_processed + 1;
+          f t
+      | None -> ()
+    done;
     true
   end
 
@@ -217,18 +215,8 @@ let run t =
 
 let run_until t date =
   if date < t.time then invalid_arg "Engine.run_until: date in the past";
-  let continue = ref true in
-  while !continue do
-    if not t.rates_valid then refresh_rates t;
-    let t_flow = next_flow_completion t in
-    let t_event =
-      match Pqueue.peek t.events with None -> infinity | Some (d, _) -> d
-    in
-    let next = Float.min t_flow t_event in
-    if next > date then begin
-      advance_to t date;
-      continue := false
-    end
-    else ignore (step t)
+  while next_date t <= date && step t do
+    ()
   done;
+  advance_to t date;
   publish t

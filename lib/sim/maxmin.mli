@@ -13,9 +13,10 @@
 
     {!solve} is the reference implementation — O(rounds × (flows + links))
     per call, used by tests as an oracle. The simulation engine uses
-    {!Incremental}, which keeps solver state across flow arrivals and
-    departures and re-solves only the affected connected components (see
-    docs/ALGORITHMS.md for invariants and complexity). *)
+    {!Incremental}, which keeps the flow set and its link adjacency live
+    across flow arrivals and departures and re-solves each connected
+    component with an allocation-free water-fill (see docs/ALGORITHMS.md
+    for invariants and complexity). *)
 
 type flow = {
   links : int array;  (** Indices of the links the flow crosses. *)
@@ -35,31 +36,27 @@ val utilization :
 
 (** Incremental max-min solver.
 
-    Holds the live flow set and its rate vector across [add]/[remove]
-    calls; [refresh] brings the rates up to date by re-solving only the
-    connected components (of the flow–link sharing graph) reachable from a
-    changed flow, falling back to re-solving every component when the dirty
-    set exceeds [full_threshold × live flows].
+    Holds the live flow set, its link→flow adjacency and its rate vector
+    across [add]/[remove] calls; [refresh] brings the rates up to date by
+    re-solving every connected component (of the flow–link sharing graph)
+    once anything changed. After warm-up none of this allocates.
 
     The rate vector is a {e pure function of the alive flow set}: any
     sequence of adds and removes reaching the same set yields bit-identical
     rates (each component's water-fill performs the same float operations
-    in the same order as {!solve} run on that component alone). Against
-    {!solve} on the whole flow set the rates agree to ~1e-9 relative — the
-    global algorithm interleaves level increments across components, a
-    different float summation order. *)
+    as {!solve} run on that component alone). Against {!solve} on the whole
+    flow set the rates agree to ~1e-9 relative — the global algorithm
+    interleaves level increments across components, a different float
+    summation order. *)
 module Incremental : sig
   type t
 
   type handle = int
   (** Identifies a live flow; invalid after {!remove}. *)
 
-  val create :
-    ?full_threshold:float -> n_links:int -> capacity:(int -> float) -> unit -> t
+  val create : n_links:int -> capacity:(int -> float) -> unit -> t
   (** A solver for a fixed set of links. [capacity] is sampled once, at
-      creation. [full_threshold] (default [0.5]) is the dirty-set fraction
-      above which {!refresh} re-solves everything; [0.] forces a full
-      re-solve on every refresh (useful to test the fallback path). *)
+      creation. *)
 
   val add : t -> links:int array -> rate_cap:float -> handle
   (** Registers a flow. Validation matches {!solve}: raises
@@ -71,8 +68,8 @@ module Incremental : sig
   (** Unregisters a flow. Raises [Invalid_argument] on a dead handle. *)
 
   val refresh : t -> unit
-  (** Re-solves every component containing a flow added or removed since
-      the previous refresh. No-op when nothing changed. Raises
+  (** Re-solves every component when a linked flow was added or removed
+      since the previous refresh; no-op otherwise. Raises
       [Invalid_argument "Maxmin.Incremental: unbounded flow"] if a
       component has no finite constraint (cannot happen when every link
       capacity is finite). *)
@@ -85,10 +82,11 @@ module Incremental : sig
   (** Live flows currently registered. *)
 
   val publish : t -> unit
-  (** Pushes counter deltas since the last publish to the metrics registry
-      ([Instr.maxmin_inc_refreshes], [..._full_refreshes],
-      [..._component_solves], [..._inc_iterations], [..._dirty_flows],
-      [..._skipped_flows]) and folds this solver's largest dirty set into
-      the [Instr.maxmin_dirty_set_max] gauge. Counters are kept as plain
+  (** Pushes counter deltas since the last publish to the metrics registry:
+      refreshes to [Instr.maxmin_full_refreshes] (every refresh re-solves
+      everything, so [Instr.maxmin_inc_refreshes] and
+      [Instr.maxmin_skipped_flows] stay 0), component water-fills to
+      [..._component_solves], their rounds to [..._inc_iterations] and the
+      flows they solved to [..._dirty_flows]. Counters are kept as plain
       ints in between — the hot path never touches an atomic. *)
 end

@@ -43,6 +43,8 @@ let push q prio value =
 
 let peek q = if q.len = 0 then None else Some (q.data.(0).prio, q.data.(0).value)
 
+let min_prio q = if q.len = 0 then infinity else q.data.(0).prio
+
 let pop q =
   if q.len = 0 then None
   else begin

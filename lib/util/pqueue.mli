@@ -22,4 +22,8 @@ val pop : 'a t -> (float * 'a) option
 val peek : 'a t -> (float * 'a) option
 (** Returns the minimum without removing it. O(1). *)
 
+val min_prio : 'a t -> float
+(** The minimum priority, or [infinity] when the queue is empty. O(1), and
+    unlike {!peek} it allocates nothing. *)
+
 val clear : 'a t -> unit

@@ -134,12 +134,11 @@ let qcheck_maxmin_saturated =
 
 module Inc = Maxmin.Incremental
 
-let inc_create ?full_threshold () =
-  Inc.create ?full_threshold ~n_links:10 ~capacity:(fun _ -> 50.) ()
+let inc_create () = Inc.create ~n_links:10 ~capacity:(fun _ -> 50.) ()
 
 (* Random op sequences over the incremental solver. [`Remove k] removes the
-   [k mod alive]-th live flow; [`Refresh] forces a mid-sequence solve so
-   both the incremental and the fallback paths get exercised. *)
+   [k mod alive]-th live flow; [`Refresh] forces a mid-sequence solve, so
+   later refreshes start from a solved state. *)
 let ops_gen =
   QCheck.Gen.(
     list_size (1 -- 60)
@@ -223,20 +222,69 @@ let qcheck_inc_path_independent =
         (fun (h, h') -> same_float (Inc.rate inc h) (Inc.rate fresh h'))
         readded)
 
-let qcheck_inc_threshold_equivalent =
-  QCheck.Test.make ~count:300
-    ~name:"always-full fallback gives bit-identical rates" random_ops
+(* The max-min fairness certificate, checked on the solver's own output
+   with no reference solver involved: rates are feasible, and every linked
+   flow is at its cap or crosses a saturated link on which no flow gets
+   more than it does. A linkless flow gets exactly its cap. *)
+let qcheck_inc_fairness_certificate =
+  QCheck.Test.make ~count:300 ~name:"incremental rates satisfy max-min fairness"
+    random_ops
     (fun ops ->
-      (* threshold 0. re-solves every component on each refresh; default
-         re-solves only dirty ones. Identical per-component arithmetic
-         means identical rates after every replayed op. *)
       let inc = inc_create () in
-      let full = inc_create ~full_threshold:0. () in
       let alive = run_ops inc ops in
-      let alive_full = run_ops full ops in
-      List.for_all2
-        (fun (h, _) (h', _) -> same_float (Inc.rate inc h) (Inc.rate full h'))
-        alive alive_full)
+      let rate (h, _) = Inc.rate inc h in
+      let load = Array.make 10 0. and top = Array.make 10 0. in
+      List.iter
+        (fun ((_, f) as x) ->
+          Array.iter
+            (fun l ->
+              load.(l) <- load.(l) +. rate x;
+              top.(l) <- Float.max top.(l) (rate x))
+            f.Maxmin.links)
+        alive;
+      let tol = 1e-6 in
+      Array.for_all (fun u -> u <= 50. *. (1. +. tol)) load
+      && List.for_all
+           (fun ((_, f) as x) ->
+             let r = rate x and cap = f.Maxmin.rate_cap in
+             if Array.length f.Maxmin.links = 0 then r = cap
+             else
+               (cap < infinity && r >= cap *. (1. -. tol))
+               || Array.exists
+                    (fun l ->
+                      load.(l) >= 50. *. (1. -. tol)
+                      && r >= top.(l) *. (1. -. tol))
+                    f.Maxmin.links)
+           alive)
+
+(* Minor words allocated by one add + remove + refresh cycle on a warmed-up
+   solver already holding [n] flows. *)
+let cycle_words n =
+  let inc = Inc.create ~n_links:10 ~capacity:(fun l -> 40. +. float_of_int l) () in
+  for i = 0 to n - 1 do
+    let links = [| i mod 10; (i * 7 + 3) mod 10 |] in
+    let rate_cap = if i mod 3 = 0 then infinity else 1. +. float_of_int (i mod 17) in
+    ignore (Inc.add inc ~links ~rate_cap)
+  done;
+  let links = [| 2; 5 |] in
+  let cycle () =
+    let h = Inc.add inc ~links ~rate_cap:3.5 in
+    Inc.refresh inc;
+    Inc.remove inc h;
+    Inc.refresh inc
+  in
+  for _ = 1 to 3 do
+    cycle ()
+  done;
+  let before = Gc.minor_words () in
+  cycle ();
+  Gc.minor_words () -. before
+
+let test_inc_refresh_allocation_free () =
+  let small = cycle_words 10 and large = cycle_words 400 in
+  if Float.abs (large -. small) > 8. then
+    Alcotest.failf "cycle allocates %.0f words at 400 flows vs %.0f at 10"
+      large small
 
 let test_inc_basics () =
   let inc = inc_create () in
@@ -254,7 +302,7 @@ let test_inc_basics () =
 
 let test_inc_untouched_component_stable () =
   (* Flows on disjoint links: adding to one component must not disturb the
-     other (its rates are reused verbatim, not recomputed). *)
+     other (re-solving it yields bit-identical rates). *)
   let inc = inc_create () in
   let a = Inc.add inc ~links:[| 0 |] ~rate_cap:infinity in
   let b = Inc.add inc ~links:[| 1 |] ~rate_cap:7. in
@@ -438,6 +486,39 @@ let test_engine_cabinet_contention () =
     !finishes
 
 
+let test_engine_same_date_completions_reverse () =
+  (* Three equal transfers, each sharing a node link with the third: all
+     run at 62.5 MB/s and finish at the same date. Their callbacks run
+     newest activation first. *)
+  let eng = Engine.create flat4 in
+  let order = ref [] in
+  List.iteri
+    (fun k (src, dst) ->
+      Engine.start_flow eng ~src ~dst ~bytes:1.25e8 ~on_complete:(fun eng ->
+          order := (k, Engine.now eng) :: !order))
+    [ (0, 1); (2, 3); (1, 2) ];
+  ignore (Engine.run eng);
+  let order = List.rev !order in
+  Alcotest.(check (list int)) "reverse activation order" [ 2; 1; 0 ]
+    (List.map fst order);
+  List.iter (fun (_, d) -> checkf "same date" 2.0002 d) order
+
+let test_engine_remaining_survives_compaction () =
+  (* A and B share node 0's NIC at 62.5 MB/s each. A, activated first,
+     finishes after 0.2 s; B has then moved 1.25e7 of its 1.25e8 bytes and
+     drains the other 1.125e8 alone at 125 MB/s in 0.9 s. *)
+  let eng = Engine.create flat4 in
+  let a = ref nan and b = ref nan in
+  Engine.start_flow eng ~src:0 ~dst:1 ~bytes:1.25e7 ~on_complete:(fun eng ->
+      a := Engine.now eng);
+  Engine.start_flow eng ~src:0 ~dst:2 ~bytes:1.25e8 ~on_complete:(fun eng ->
+      b := Engine.now eng);
+  Engine.run_until eng 0.5;
+  checkf "A done" 0.2002 !a;
+  Alcotest.(check int) "B still active" 1 (Engine.active_flows eng);
+  ignore (Engine.run eng);
+  checkf "B carries its remainder" 1.1002 !b
+
 (* --- Engine stress and property tests -------------------------------------- *)
 
 let random_flow_set seed n =
@@ -564,7 +645,9 @@ let () =
           Alcotest.test_case "validation" `Quick test_inc_validation;
           qcheck qcheck_inc_matches_reference;
           qcheck qcheck_inc_path_independent;
-          qcheck qcheck_inc_threshold_equivalent;
+          qcheck qcheck_inc_fairness_certificate;
+          Alcotest.test_case "refresh is allocation-free" `Quick
+            test_inc_refresh_allocation_free;
         ] );
       ( "engine",
         [
@@ -587,6 +670,10 @@ let () =
           Alcotest.test_case "determinism" `Quick test_engine_determinism;
           Alcotest.test_case "cabinet contention" `Quick
             test_engine_cabinet_contention;
+          Alcotest.test_case "same-date completions newest first" `Quick
+            test_engine_same_date_completions_reverse;
+          Alcotest.test_case "remaining survives compaction" `Quick
+            test_engine_remaining_survives_compaction;
         ] );
       ( "stress",
         [

@@ -215,6 +215,17 @@ let test_pqueue_peek () =
   Alcotest.(check bool) "peek min" true (Pqueue.peek q = Some (1., "a"));
   check Alcotest.int "size" 2 (Pqueue.size q)
 
+let test_pqueue_min_prio () =
+  let q = Pqueue.create () in
+  Alcotest.(check (float 0.)) "empty" infinity (Pqueue.min_prio q);
+  Pqueue.push q 2. "b";
+  Pqueue.push q 1. "a";
+  Alcotest.(check (float 0.)) "minimum" 1. (Pqueue.min_prio q);
+  ignore (Pqueue.pop q);
+  Alcotest.(check (float 0.)) "after pop" 2. (Pqueue.min_prio q);
+  ignore (Pqueue.pop q);
+  Alcotest.(check (float 0.)) "drained" infinity (Pqueue.min_prio q)
+
 let test_pqueue_clear () =
   let q = Pqueue.create () in
   Pqueue.push q 1. ();
@@ -328,6 +339,7 @@ let () =
           Alcotest.test_case "order" `Quick test_pqueue_order;
           Alcotest.test_case "fifo ties" `Quick test_pqueue_fifo_ties;
           Alcotest.test_case "peek" `Quick test_pqueue_peek;
+          Alcotest.test_case "min_prio" `Quick test_pqueue_min_prio;
           Alcotest.test_case "clear" `Quick test_pqueue_clear;
           Alcotest.test_case "interleaved" `Quick test_pqueue_interleaved;
           qcheck qcheck_pqueue_sorts;
