@@ -19,11 +19,8 @@ val pop : 'a t -> (float * 'a) option
 (** Removes and returns the minimum-priority element (FIFO among equal
     priorities). O(log n). *)
 
-val peek : 'a t -> (float * 'a) option
-(** Returns the minimum without removing it. O(1). *)
-
 val min_prio : 'a t -> float
-(** The minimum priority, or [infinity] when the queue is empty. O(1), and
-    unlike {!peek} it allocates nothing. *)
+(** The minimum priority, or [infinity] when the queue is empty. O(1); it
+    allocates nothing. *)
 
 val clear : 'a t -> unit

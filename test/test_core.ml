@@ -536,6 +536,23 @@ let test_evaluate_slower_than_estimate_under_contention () =
         (r.Evaluate.makespan >= 0.5 *. Schedule.makespan_estimated s))
     (sample_problems ())
 
+let test_evaluate_start_rejects_grant_size () =
+  (* A grant must cover exactly the schedule's processors. *)
+  let p = chain_problem () in
+  let s = Rats.schedule p Rats.Baseline in
+  let k = Problem.n_procs p in
+  List.iter
+    (fun size ->
+      let eng = Rats_sim.Engine.create Cluster.grillon in
+      match
+        Evaluate.start eng ~grant:(Procset.range 0 size)
+          ~on_complete:(fun _ -> ())
+          s
+      with
+      | () -> Alcotest.failf "grant of %d accepted for %d processors" size k
+      | exception Invalid_argument _ -> ())
+    [ k - 1; k + 1 ]
+
 (* --- Algorithms --------------------------------------------------------------- *)
 
 let test_algorithms_consistency () =
@@ -796,6 +813,8 @@ let () =
             test_evaluate_counts_redistributions;
           Alcotest.test_case "contention slows" `Quick
             test_evaluate_slower_than_estimate_under_contention;
+          Alcotest.test_case "start rejects grant size" `Quick
+            test_evaluate_start_rejects_grant_size;
         ] );
       ( "algorithms",
         [

@@ -165,6 +165,46 @@ let prop_strategies_never_overflow_machine =
           Procset.size e.Core.Schedule.procs <= Core.Problem.n_procs problem)
         (Core.Schedule.entries s))
 
+(* --- Replay on a shared engine ------------------------------------------- *)
+
+let prop_start_matches_run_on_flat_grant =
+  (* On a flat cluster every node pair crosses two identical private links,
+     so replaying a k-processor schedule onto any k nodes of a larger
+     engine, released at any date, is a relabeling plus a time shift. *)
+  QCheck.Test.make ~count:20
+    ~name:"grant and release date leave a flat-cluster replay unchanged"
+    QCheck.(
+      quad (int_range 0 1000) (int_range 8 25) (int_range 2 20)
+        (float_range 0.5 100.))
+    (fun (seed, n, k, release) ->
+      let platform = Cluster.grillon in
+      let share = Rats_server.Api.subcluster platform k in
+      let problem = Core.Problem.make ~dag:(random_dag seed n) ~cluster:share in
+      let s = Core.Rats.schedule problem (Core.Rats.Delta Core.Rats.naive_delta) in
+      let offline = Core.Evaluate.run s in
+      let nodes = Array.init (Cluster.n_procs platform) Fun.id in
+      Rng.shuffle (Rng.create seed) nodes;
+      let grant = Procset.of_array (Array.sub nodes 0 k) in
+      QCheck.assume (not (Procset.equal grant (Procset.range 0 k)));
+      let eng = Rats_sim.Engine.create platform in
+      let shared = ref None in
+      Rats_sim.Engine.at eng release (fun eng ->
+          Core.Evaluate.start eng ~grant
+            ~on_complete:(fun r -> shared := Some r)
+            s);
+      ignore (Rats_sim.Engine.run eng);
+      match !shared with
+      | None -> false
+      | Some r ->
+          let open Core.Evaluate in
+          r.remote_bytes = offline.remote_bytes
+          && r.local_bytes = offline.local_bytes
+          && r.redistributions = offline.redistributions
+          && r.avoided = offline.avoided
+          && List.length r.spans = List.length offline.spans
+          && Float.abs (r.makespan -. offline.makespan)
+             <= 1e-9 *. offline.makespan)
+
 let () =
   Alcotest.run "properties"
     [
@@ -183,4 +223,5 @@ let () =
           qcheck prop_work_conservation;
           qcheck prop_strategies_never_overflow_machine;
         ] );
+      ("replay", [ qcheck prop_start_matches_run_on_flat_grant ]);
     ]
