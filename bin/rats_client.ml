@@ -14,10 +14,11 @@
    racing a daemon that is still starting or restarting). *)
 
 open Cmdliner
-module Server = Rats_server
 module Api = Rats_server.Api
 module Protocol = Rats_server.Protocol
 module Load = Rats_server.Load
+module Profile = Rats_workload.Profile
+module Trace = Rats_workload.Trace
 module Retry = Rats_runtime.Retry
 module Core = Rats_core
 module J = Rats_obs.Json
@@ -136,15 +137,17 @@ let do_watch conn json stall =
   go ()
 
 let do_load conn json profile load_from load_to =
-  let trace = Load.trace profile in
-  let n = List.length trace in
+  let trace = Trace.compile profile in
+  let n = Array.length trace in
   let lo = max 0 load_from in
   let hi = if load_to <= 0 then n else min load_to n in
   let sent = ref 0 in
-  List.iteri
-    (fun i (at, request) ->
+  Array.iteri
+    (fun i (job : Trace.job) ->
       if i >= lo && i < hi then begin
-        send conn (Protocol.Submit { at = Some at; request });
+        send conn
+          (Protocol.Submit
+             { at = Some job.Trace.at; request = Load.request_of_job job });
         match expect_ok conn json with
         | Protocol.Ack _ -> incr sent
         | _ -> fail "rats_client: unexpected reply to submit"
@@ -211,14 +214,8 @@ let run socket op tenant at procs follow drain json dag_file config algo
   | `Watch -> do_watch conn json stall
   | `Load ->
       let profile =
-        {
-          (Load.default_profile cluster) with
-          Load.n_jobs = load_jobs;
-          n_tenants = tenants;
-          rate;
-          seed;
-          strategy;
-        }
+        Profile.service ~cluster ~n_jobs:load_jobs ~n_tenants:tenants ~rate
+          ~seed ~strategy ()
       in
       do_load conn json profile load_from load_to;
       if drain then do_drain conn json

@@ -11,7 +11,7 @@
     protocol, see docs/SERVER.md) with floats rendered exactly, so event
     logs can be diffed bit-for-bit across runs and resumes.
 
-    Scheduling itself ({!prepare}, {!plan}, {!run_local}) is a thin, pure
+    Scheduling itself ({!prepare}, {!plan}, {!place}) is a thin, pure
     composition of the existing pipeline — {!Rats_core.Problem.make},
     {!Rats_core.Hcpa.allocate}, {!Rats_core.Rats.schedule} — over the
     requested processor share. *)
@@ -94,11 +94,15 @@ val plan :
 val response_of_schedule :
   job_name:string -> strategy:string -> Rats_core.Schedule.t -> response
 
-val run_local :
-  cluster:Cluster.t -> request -> response * Rats_core.Evaluate.result
-(** One-shot offline path: resolve the share, schedule, then replay the
-    schedule alone on it ({!Rats_core.Evaluate.run}) — no daemon, no
-    contention with other jobs. *)
+val place :
+  cluster:Cluster.t ->
+  request ->
+  (response * Rats_core.Schedule.t, string) result
+(** One-shot planning, as [ratsd] answers a [Plan] message: {!validate}
+    against [cluster], schedule on the {!subcluster} share ({!plan}) and
+    render the {!response}. The schedule is returned too, so a caller can
+    replay it alone ({!Rats_core.Evaluate.run}) — no queue, no contention
+    with other jobs. [Error] carries the validation message. *)
 
 (** {2 Events} *)
 

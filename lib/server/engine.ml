@@ -62,6 +62,7 @@ type t = {
   mutable pending : (float * job) list;  (* submitted, not yet injected *)
   mutable next_id : int;
   mutable next_seq : int;
+  mutable last_stamp : float;  (* simulated time of the latest event *)
   mutable rev_events : Api.stamped list;
   mutable subscribers : (Api.stamped -> unit) list;
   (* statistics *)
@@ -87,6 +88,7 @@ let create ?journal config =
     pending = [];
     next_id = 0;
     next_seq = 0;
+    last_stamp = 0.;
     rev_events = [];
     subscribers = [];
     n_submitted = 0;
@@ -117,9 +119,10 @@ let adjust_outstanding t tenant d =
 let emit t job event =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
+  t.last_stamp <- Sim.now t.sim;
   let stamped =
     {
-      Api.t = Sim.now t.sim;
+      Api.t = t.last_stamp;
       seq;
       job_id = job.id;
       tenant = job.request.Api.tenant;
@@ -367,9 +370,12 @@ let drain t =
   List.iter
     (fun (at, job) -> Sim.at t.sim at (fun _eng -> arrive t job))
     pending;
-  let end_time = Sim.run t.sim in
-  t.end_time <- end_time;
-  end_time
+  (* The simulation's final date can be a stale queue-wait deadline timer
+     of a job that started long before; the trace ends with its last
+     event. *)
+  ignore (Sim.run t.sim : float);
+  t.end_time <- t.last_stamp;
+  t.end_time
 
 let stats t =
   let n_procs = Cluster.n_procs t.config.cluster in

@@ -94,9 +94,11 @@ val resume : t -> int
 val drain : t -> float
 (** Sorts pending arrivals by [(at, tenant, id)], injects them and runs the
     simulation until nothing remains — every admitted job has completed.
-    Returns the final simulated time. May be called repeatedly; new
-    submissions between drains arrive no earlier than the previous drain's
-    end. *)
+    Returns the stamp of the last event emitted so far (the end of the
+    trace); expiry timers of jobs that started before their deadline still
+    advance the simulation clock but not this end time. May be called
+    repeatedly; new submissions between drains arrive no earlier than the
+    simulation clock after the previous drain. *)
 
 val subscribe : t -> (Api.stamped -> unit) -> unit
 (** Registers an observer called synchronously at every event emission, in
@@ -119,7 +121,7 @@ type stats = {
   busy_time : float;
       (** Processor-seconds granted to completed jobs (grant size × hold
           time). *)
-  end_time : float;  (** Simulated time of the last drain's end. *)
+  end_time : float;  (** What the last {!drain} returned. *)
   utilization : float;
       (** [busy_time / (n_procs × end_time)]; 0 before any drain. *)
   sojourns : float array;  (** Per completed job, completion order. *)

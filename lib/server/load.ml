@@ -1,44 +1,5 @@
-module Stats = Rats_util.Stats
-module Cluster = Rats_platform.Cluster
-module Rats = Rats_core.Rats
 module W_app = Rats_workload.App
-module W_profile = Rats_workload.Profile
 module W_trace = Rats_workload.Trace
-
-type profile = {
-  n_jobs : int;
-  n_tenants : int;
-  rate : float;
-  seed : int;
-  strategy : Rats.strategy;
-  procs_min : int;
-  procs_max : int;
-}
-
-let default_profile cluster =
-  let n = Cluster.n_procs cluster in
-  {
-    n_jobs = 120;
-    n_tenants = 4;
-    rate = 0.05;
-    seed = 42;
-    strategy = Rats.Delta Rats.naive_delta;
-    procs_min = max 1 (n / 4);
-    procs_max = n;
-  }
-
-let validate p =
-  if p.n_jobs < 1 then invalid_arg "Load: n_jobs < 1";
-  if p.n_tenants < 1 then invalid_arg "Load: n_tenants < 1";
-  if p.rate <= 0. then invalid_arg "Load: rate <= 0";
-  if p.procs_min < 1 || p.procs_max < p.procs_min then
-    invalid_arg "Load: bad procs range"
-
-let workload_profile p =
-  validate p;
-  W_profile.service ~n_jobs:p.n_jobs ~n_tenants:p.n_tenants ~rate:p.rate
-    ~seed:p.seed ~strategy:p.strategy ~procs_min:p.procs_min
-    ~procs_max:p.procs_max ()
 
 let request_of_job (job : W_trace.job) =
   let spec =
@@ -64,65 +25,3 @@ let request_of_job (job : W_trace.job) =
     strategy = job.W_trace.strategy;
     procs = job.W_trace.procs;
   }
-
-let trace p =
-  let jobs = W_trace.compile (workload_profile p) in
-  Array.to_list
-    (Array.map (fun job -> (job.W_trace.at, request_of_job job)) jobs)
-
-type report = {
-  jobs : int;
-  completed : int;
-  rejected : int;
-  expired : int;
-  end_time : float;
-  throughput : float;
-  sojourn_mean : float;
-  sojourn_p50 : float;
-  sojourn_p99 : float;
-  utilization : float;
-  queue_depth_max : int;
-}
-
-let run engine p =
-  let arrivals = trace p in
-  List.iter
-    (fun (at, request) ->
-      match Engine.submit engine ~at request with
-      | Ok (_ : int) -> ()
-      | Error e -> invalid_arg ("Load.run: generated invalid request: " ^ e))
-    arrivals;
-  let end_time = Engine.drain engine in
-  let s = Engine.stats engine in
-  {
-    jobs = s.Engine.submitted;
-    completed = s.Engine.completed;
-    rejected = s.Engine.rejected;
-    expired = s.Engine.expired;
-    end_time;
-    throughput =
-      (if end_time > 0. then float_of_int s.Engine.completed /. end_time
-       else 0.);
-    sojourn_mean = Stats.mean s.Engine.sojourns;
-    sojourn_p50 = Stats.percentile s.Engine.sojourns 50.;
-    sojourn_p99 = Stats.percentile s.Engine.sojourns 99.;
-    utilization = s.Engine.utilization;
-    queue_depth_max = s.Engine.queue_depth_max;
-  }
-
-let pp_report ppf r =
-  Format.fprintf ppf
-    "@[<v>jobs submitted     %d@,\
-     jobs completed     %d@,\
-     jobs rejected      %d@,\
-     jobs expired       %d@,\
-     end of trace       %.2f s (simulated)@,\
-     throughput         %.4f jobs/s@,\
-     sojourn mean       %.2f s@,\
-     sojourn p50        %.2f s@,\
-     sojourn p99        %.2f s@,\
-     utilization        %.1f%%@,\
-     peak queue depth   %d@]"
-    r.jobs r.completed r.rejected r.expired r.end_time r.throughput
-    r.sojourn_mean r.sojourn_p50 r.sojourn_p99 (100. *. r.utilization)
-    r.queue_depth_max

@@ -1,69 +1,11 @@
-(** Simulated-time load driver: the service's throughput proof.
+(** Workload traces as service requests.
 
-    Generates a multi-tenant Poisson arrival trace over the paper's
-    application suite, submits it to an online {!Engine}, drains, and
-    reports service-level numbers (throughput, p50/p99 sojourn,
-    utilization, peak queue depth). Everything is driven by
-    {!Rats_util.Rng} streams derived from [seed] — same seed, same
-    profile, same platform ⇒ byte-identical event log — so
-    [ratsd --selftest] doubles as a determinism check.
-
-    Since the workload engine landed this module is a thin shim: a
-    {!profile} maps to {!Rats_workload.Profile.service} (each tenant an
-    independent Poisson process of rate [rate /. n_tenants] over the
-    small-configuration service mix, shares uniform in
-    [\[procs_min, procs_max\]]) and the trace comes from
-    {!Rats_workload.Trace.compile} — bit-compatible with the historical
-    inline generator, draw for draw. The conversion from workload jobs
-    to service requests ({!request_of_job}) lives here because the
-    workload library sits below the service API. *)
-
-type profile = {
-  n_jobs : int;  (** Total jobs across all tenants. *)
-  n_tenants : int;
-  rate : float;  (** Aggregate arrival rate, jobs per simulated second. *)
-  seed : int;
-  strategy : Rats_core.Rats.strategy;  (** Used for every submission. *)
-  procs_min : int;
-  procs_max : int;
-}
-
-val default_profile : Rats_platform.Cluster.t -> profile
-(** 120 jobs from 4 tenants at 0.05 jobs/s with the naive delta strategy,
-    shares between a quarter and the whole platform, seed 42. *)
-
-val workload_profile : profile -> Rats_workload.Profile.t
-(** The workload-engine profile this driver profile denotes. Raises
-    [Invalid_argument] on non-positive job counts, tenants or rate, or a
-    bad procs range. *)
+    The workload library ({!Rats_workload}) sits below the service API, so
+    the conversion of its compiled jobs into {!Api.request}s lives here.
+    Traces themselves come from {!Rats_workload.Trace.compile}; the one
+    loop that submits a trace, drains and tallies is
+    [Rats_workload_study.Study.run_arm]. *)
 
 val request_of_job : Rats_workload.Trace.job -> Api.request
-(** Converts a compiled workload job to a service request: suite
-    applications submit as [Api.Generated], pipeline chains as
+(** Suite applications submit as [Api.Generated], pipeline chains as
     [Api.Inline] task/edge definitions. *)
-
-val trace : profile -> (float * Api.request) list
-(** The arrival trace alone (time, request), sorted by time — what {!run}
-    submits. Exposed for tests. *)
-
-type report = {
-  jobs : int;  (** Jobs submitted. *)
-  completed : int;
-  rejected : int;
-  expired : int;  (** Dropped at their queue-wait deadline. *)
-  end_time : float;  (** Simulated completion time of the whole trace. *)
-  throughput : float;  (** Completed jobs per simulated second. *)
-  sojourn_mean : float;
-  sojourn_p50 : float;
-  sojourn_p99 : float;
-  utilization : float;
-  queue_depth_max : int;
-}
-
-val run : Engine.t -> profile -> report
-(** Submits the trace (rejecting statically invalid requests is a bug —
-    the driver only emits valid ones), drains the engine and summarises
-    its {!Engine.stats}. The engine should be fresh. *)
-
-val pp_report : Format.formatter -> report -> unit
-(** Multi-line human-readable summary. *)

@@ -10,7 +10,7 @@
 
     - {b Poisson}: memoryless arrivals at a constant [rate] (exponential
       interarrivals by inverse transform) — the classic open-loop load,
-      and bit-compatible with the historical [Server.Load] driver.
+      and bit-compatible with the historical selftest generator.
     - {b Bursty}: a two-state Markov-modulated Poisson process. The
       source alternates between an {e on} phase (rate [rate_on]) and an
       {e off} phase (rate [rate_off], may be 0), with exponentially

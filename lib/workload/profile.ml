@@ -18,7 +18,7 @@ let jobs_per_tenant t =
   Array.init n_tenants (fun i ->
       (t.n_jobs / n_tenants) + if i < t.n_jobs mod n_tenants then 1 else 0)
 
-(* Small configurations only, in the historical [Server.Load] pool order:
+(* Small configurations only, in the historical selftest pool order:
    byte-identical traces for the poisson preset depend on it. *)
 let service_mix : App.mix =
   [|
@@ -66,29 +66,6 @@ let pipeline_mix : App.mix =
     );
   |]
 
-let service ?name ~n_jobs ~n_tenants ~rate ~seed ~strategy ~procs_min
-    ~procs_max () =
-  if n_tenants < 1 then invalid_arg "Profile.service: n_tenants < 1";
-  if rate <= 0. then invalid_arg "Profile.service: rate <= 0";
-  let per_tenant_rate = rate /. float_of_int n_tenants in
-  let tenants =
-    List.init n_tenants (fun i ->
-        {
-          Tenant.name = Printf.sprintf "tenant-%d" i;
-          arrival = Arrival.Poisson { rate = per_tenant_rate };
-          mix = service_mix;
-          samples = 3;
-          share = Tenant.Uniform { lo = procs_min; hi = procs_max };
-          strategy;
-        })
-  in
-  {
-    name = Option.value name ~default:"poisson";
-    seed;
-    n_jobs;
-    tenants;
-  }
-
 type preset_params = {
   p_jobs : int;
   p_tenants : int;
@@ -118,11 +95,11 @@ let diurnal_arrival per_rate =
   Arrival.Diurnal
     { base = per_rate; amplitude = 0.9; period = 400. /. per_rate }
 
-let build_preset ~cluster name params =
+let build_preset ~cluster ?(strategy = Rats.Delta Rats.naive_delta) name
+    params =
+  (* Shares uniform between a quarter of the platform and all of it. *)
   let n = Cluster.n_procs cluster in
-  let procs_min = max 1 (n / 4) and procs_max = n in
-  let share = Tenant.Uniform { lo = procs_min; hi = procs_max } in
-  let strategy = Rats.Delta Rats.naive_delta in
+  let share = Tenant.Uniform { lo = max 1 (n / 4); hi = n } in
   let per_rate = params.p_rate /. float_of_int params.p_tenants in
   let tenant i arrival mix =
     {
@@ -160,6 +137,12 @@ let build_preset ~cluster name params =
     | other -> invalid_arg ("Profile: unknown preset " ^ other)
   in
   { name; seed = params.p_seed; n_jobs = params.p_jobs; tenants }
+
+let service ~cluster ~n_jobs ~n_tenants ~rate ~seed ~strategy () =
+  if n_tenants < 1 then invalid_arg "Profile.service: n_tenants < 1";
+  if rate <= 0. then invalid_arg "Profile.service: rate <= 0";
+  build_preset ~cluster ~strategy "poisson"
+    { p_jobs = n_jobs; p_tenants = n_tenants; p_rate = rate; p_seed = seed }
 
 let parse_params base kvs =
   List.fold_left

@@ -3,7 +3,7 @@
     A profile is a named set of {!Tenant}s plus a total job budget; the
     trace compiler ({!Trace.compile}) splits the budget round-robin
     across tenants (tenant [i] of [T] gets [n/T] jobs, plus one of the
-    first [n mod T] remainders — the historical [Server.Load] split).
+    first [n mod T] remainders — the historical selftest split).
 
     {2 Profile grammar}
 
@@ -56,20 +56,20 @@ val pipeline_mix : App.mix
     datasets, uniform weights. *)
 
 val service :
-  ?name:string ->
+  cluster:Rats_platform.Cluster.t ->
   n_jobs:int ->
   n_tenants:int ->
   rate:float ->
   seed:int ->
   strategy:Rats_core.Rats.strategy ->
-  procs_min:int ->
-  procs_max:int ->
   unit ->
   t
-(** The [poisson] preset with explicit share bounds — the profile behind
-    [Server.Load]'s driver: [n_tenants] Poisson tenants named
-    ["tenant-<i>"] of rate [rate /. n_tenants] each, {!service_mix},
-    3 samples, shares uniform in [\[procs_min, procs_max\]]. *)
+(** The [poisson] preset with an explicit strategy — the trace of
+    [ratsd --selftest] and [rats_client --op load]: [n_tenants] Poisson
+    tenants named ["tenant-<i>"] of rate [rate /. n_tenants] each,
+    {!service_mix}, 3 samples, shares uniform between a quarter of the
+    platform and all of it. Raises [Invalid_argument] on fewer than one
+    tenant or a non-positive rate. *)
 
 val presets : string list
 (** Preset names accepted by {!of_string}, in documentation order. *)

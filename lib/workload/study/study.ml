@@ -40,21 +40,44 @@ let planner = function
   | Timecost -> Some (with_strategy (Rats.Timecost Rats.naive_timecost))
   | Packing -> Some Packing.plan
 
-(* Mutable per-tenant tally, filled from the event log. *)
-type tally = {
-  mutable submitted : int;
-  mutable completed : int;
-  mutable rejected : int;
-  mutable expired : int;
-  mutable rev_sojourns : float list;
-}
+(* One tenant's tally from the event log; sojourns in completion order. *)
+let tally events (tenant : Tenant.t) =
+  let name = tenant.Tenant.name in
+  let mine =
+    List.filter (fun (ev : Api.stamped) -> ev.Api.tenant = name) events
+  in
+  let count p =
+    List.length (List.filter (fun (ev : Api.stamped) -> p ev.Api.event) mine)
+  in
+  {
+    Report.tenant = name;
+    submitted = count (function Api.Submitted _ -> true | _ -> false);
+    completed = count (function Api.Completed _ -> true | _ -> false);
+    rejected = count (function Api.Rejected _ -> true | _ -> false);
+    expired = count (function Api.Expired _ -> true | _ -> false);
+    sojourns =
+      Array.of_list
+        (List.filter_map
+           (fun (ev : Api.stamped) ->
+             match ev.Api.event with
+             | Api.Completed { sojourn; _ } -> Some sojourn
+             | _ -> None)
+           mine);
+  }
 
-let run_arm ?(policy = Admission.default) ?jobs ~cluster
+let run_arm ?(policy = Admission.default) ?jobs ?fault ?on_event ~cluster
     ~(profile : Profile.t) ~(trace : Trace.t) arm =
   let config =
-    { (Engine.default_config cluster) with policy; jobs; planner = planner arm }
+    {
+      (Engine.default_config cluster) with
+      policy;
+      jobs;
+      fault;
+      planner = planner arm;
+    }
   in
   let engine = Engine.create config in
+  Option.iter (Engine.subscribe engine) on_event;
   Array.iter
     (fun (job : Trace.job) ->
       match Engine.submit engine ~at:job.Trace.at (Load.request_of_job job) with
@@ -62,50 +85,11 @@ let run_arm ?(policy = Admission.default) ?jobs ~cluster
       | Error e -> invalid_arg ("Study.run_arm: invalid trace job: " ^ e))
     trace;
   let end_time = Engine.drain engine in
-  let tallies =
-    List.map
-      (fun (t : Tenant.t) ->
-        ( t.Tenant.name,
-          {
-            submitted = 0;
-            completed = 0;
-            rejected = 0;
-            expired = 0;
-            rev_sojourns = [];
-          } ))
-      profile.Profile.tenants
-  in
-  List.iter
-    (fun (ev : Api.stamped) ->
-      match List.assoc_opt ev.Api.tenant tallies with
-      | None -> ()
-      | Some tally -> (
-          match ev.Api.event with
-          | Api.Submitted _ -> tally.submitted <- tally.submitted + 1
-          | Api.Completed { sojourn; _ } ->
-              tally.completed <- tally.completed + 1;
-              tally.rev_sojourns <- sojourn :: tally.rev_sojourns
-          | Api.Rejected _ -> tally.rejected <- tally.rejected + 1
-          | Api.Expired _ -> tally.expired <- tally.expired + 1
-          | Api.Admitted | Api.Queued _ | Api.Started _
-          | Api.Redistribution _ ->
-              ()))
-    (Engine.events engine);
   let s = Engine.stats engine in
   Metrics.incr Instr.workload_arm_runs;
   Report.make ~profile:profile.Profile.name ~arm:(arm_name arm) ~end_time
     ~utilization:s.Engine.utilization ~queue_depth_max:s.Engine.queue_depth_max
-    (List.map
-       (fun (tenant, tally) ->
-         {
-           Report.tenant;
-           submitted = tally.submitted;
-           completed = tally.completed;
-           rejected = tally.rejected;
-           expired = tally.expired;
-           sojourns = Array.of_list (List.rev tally.rev_sojourns);
-         })
-       tallies)
+    (List.map (tally (Engine.events engine)) profile.Profile.tenants)
 
 let run ?policy ?jobs ?(arms = default_arms) ~cluster profile =
   let trace = Trace.compile profile in

@@ -40,6 +40,8 @@ val planner :
 val run_arm :
   ?policy:Rats_server.Admission.policy ->
   ?jobs:int ->
+  ?fault:Rats_runtime.Fault.t ->
+  ?on_event:(Rats_server.Api.stamped -> unit) ->
   cluster:Rats_platform.Cluster.t ->
   profile:Profile.t ->
   trace:Trace.t ->
@@ -49,7 +51,10 @@ val run_arm :
     tallies the event log. [policy] defaults to
     {!Rats_server.Admission.default}; [jobs] is the engine's
     schedule-computation worker count (pool default when omitted — never
-    affects results). Bumps [rats_workload_arm_runs_total]. *)
+    affects results); [fault] arms the engine's injection sites
+    ({!Rats_server.Engine.config}); [on_event] sees every event as it is
+    emitted ([ratsd --selftest] keeps the log for its re-run check).
+    Bumps [rats_workload_arm_runs_total]. *)
 
 val run :
   ?policy:Rats_server.Admission.policy ->

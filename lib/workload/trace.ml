@@ -21,7 +21,7 @@ type t = job array
 let tenant_jobs ~seed ~tenant_index ~n_jobs (tenant : Tenant.t) =
   (* Per-tenant stream: adding tenants never perturbs existing ones. The
      per-job draw order (arrival, template, sample, share) is frozen — the
-     Server.Load shim's byte-identity depends on it. *)
+     selftest trace digests depend on it. *)
   let rng = Rng.create (seed + (7919 * tenant_index)) in
   let state = ref (Arrival.start tenant.Tenant.arrival) in
   Array.init n_jobs (fun _ ->

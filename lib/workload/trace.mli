@@ -5,8 +5,8 @@
     compile to the same trace on every machine and adding a tenant never
     perturbs the others. Per job the draw order is fixed — arrival gap,
     application template, sample index (suite templates only), share size
-    (uniform shares only) — and must never change: the [Server.Load] shim
-    and the on-disk goldens depend on it.
+    (uniform shares only) — and must never change: the selftest trace
+    digests in [test_workload.ml] and the on-disk goldens depend on it.
 
     Traces round-trip through a JSON-lines file ({!save} / {!load}), one
     job object per line, floats rendered with the repo-wide [%.17g]

@@ -1,14 +1,18 @@
 (* Tests for the online scheduling service (lib/server): API and protocol
    codecs, the admission/queueing discipline, online-engine determinism
-   (across runs, worker counts and journal resume), and agreement between
-   the shared-engine replay and the offline evaluator. *)
+   (across runs, worker counts and journal resume), agreement between
+   the shared-engine replay and the offline evaluator, and ratsd's
+   connection core (Daemon) driven in-process through a fake transport. *)
 
 module Api = Rats_server.Api
 module Protocol = Rats_server.Protocol
 module Admission = Rats_server.Admission
 module Jobq = Rats_server.Jobq
 module Engine = Rats_server.Engine
+module Daemon = Rats_server.Daemon
 module Load = Rats_server.Load
+module Profile = Rats_workload.Profile
+module Trace = Rats_workload.Trace
 module Suite = Rats_daggen.Suite
 module Shape = Rats_daggen.Shape
 module Cluster = Rats_platform.Cluster
@@ -524,30 +528,33 @@ let test_jobq_remove () =
 
 (* --- online engine ------------------------------------------------------- *)
 
-let small_profile ?(strategy = Core.Rats.Delta Core.Rats.naive_delta) cluster =
-  {
-    (Load.default_profile cluster) with
-    Load.n_jobs = 16;
-    n_tenants = 4;
-    rate = 0.1;
-    seed = 7;
-    strategy;
-  }
+let small_trace ?(n_jobs = 16) cluster =
+  Trace.compile
+    (Profile.service ~cluster ~n_jobs ~n_tenants:4 ~rate:0.1 ~seed:7
+       ~strategy:(Core.Rats.Delta Core.Rats.naive_delta) ())
+
+let submit_trace engine trace =
+  Array.iter
+    (fun (job : Trace.job) ->
+      match Engine.submit engine ~at:job.Trace.at (Load.request_of_job job) with
+      | Ok (_ : int) -> ()
+      | Error e -> Alcotest.failf "submit failed: %s" e)
+    trace
 
 let test_engine_deterministic () =
   let cluster = Cluster.chti in
-  let profile = small_profile cluster in
+  let trace = small_trace cluster in
   let run jobs =
     let engine = Engine.create { (config cluster) with Engine.jobs } in
-    let report = Load.run engine profile in
-    (report, log_string engine)
+    submit_trace engine trace;
+    ignore (Engine.drain engine : float);
+    (Engine.stats engine, log_string engine)
   in
-  let report1, log1 = run (Some 1) in
-  let report2, log2 = run (Some 1) in
+  let stats1, log1 = run (Some 1) in
+  let _, log2 = run (Some 1) in
   check Alcotest.bool "re-run identical" true (log1 = log2);
-  check Alcotest.int "all jobs completed" report1.Load.jobs
-    (report1.Load.completed + report1.Load.rejected);
-  ignore report2;
+  check Alcotest.int "all jobs completed" stats1.Engine.submitted
+    (stats1.Engine.completed + stats1.Engine.rejected);
   (* Worker count must never leak into the event log. *)
   let _, log4 = run (Some 4) in
   check Alcotest.bool "jobs-setting invariant" true (log1 = log4)
@@ -585,11 +592,14 @@ let test_engine_invariants () =
               Hashtbl.remove running ev.Api.job_id
           | None -> Alcotest.fail "completion of a job that never started")
       | _ -> ());
-  let report = Load.run engine (small_profile cluster) in
-  check Alcotest.int "all jobs completed" report.Load.jobs
-    (report.Load.completed + report.Load.rejected);
+  submit_trace engine (small_trace cluster);
+  ignore (Engine.drain engine : float);
+  let stats = Engine.stats engine in
+  check Alcotest.int "all jobs completed" stats.Engine.submitted
+    (stats.Engine.completed + stats.Engine.rejected);
   check Alcotest.int "nothing left running" 0 !busy;
-  check Alcotest.bool "queueing exercised" true (report.Load.queue_depth_max > 0);
+  check Alcotest.bool "queueing exercised" true
+    (stats.Engine.queue_depth_max > 0);
   (* FIFO within tenant: a tenant's jobs start in arrival (= id) order. *)
   let by_tenant = Hashtbl.create 8 in
   List.iter
@@ -602,9 +612,6 @@ let test_engine_invariants () =
             earlier
       | _ -> Hashtbl.replace by_tenant tenant id)
     !started_order;
-  let stats = Engine.stats engine in
-  check Alcotest.int "stats.completed" report.Load.completed
-    stats.Engine.completed;
   check Alcotest.bool "utilization in (0, 1]" true
     (stats.Engine.utilization > 0. && stats.Engine.utilization <= 1.)
 
@@ -691,7 +698,7 @@ let test_engine_delay_faults_invariant () =
      at p=1 the event log must stay byte-identical to the unfaulted run.
      delay_s is kept microscopic so the test doesn't actually wait. *)
   let cluster = Cluster.chti in
-  let profile = { (small_profile cluster) with Load.n_jobs = 8 } in
+  let trace = small_trace ~n_jobs:8 cluster in
   let fault =
     match
       Fault.parse
@@ -704,7 +711,8 @@ let test_engine_delay_faults_invariant () =
     let engine =
       Engine.create { (config cluster) with Engine.fault }
     in
-    ignore (Load.run engine profile);
+    submit_trace engine trace;
+    ignore (Engine.drain engine : float);
     log_string engine
   in
   check Alcotest.bool "delay faults never change the log" true
@@ -717,7 +725,11 @@ let test_engine_matches_evaluate () =
   List.iter
     (fun strategy ->
       let r = request ~strategy (fft 4 1) in
-      let _, offline = Api.run_local ~cluster r in
+      let offline =
+        match Api.place ~cluster r with
+        | Ok (_, schedule) -> Core.Evaluate.run schedule
+        | Error e -> Alcotest.failf "place failed: %s" e
+      in
       let engine = Engine.create (config cluster) in
       (match Engine.submit engine ~at:0. r with
       | Ok (_ : int) -> ()
@@ -757,8 +769,12 @@ let test_engine_matches_evaluate () =
 let test_journal_resume () =
   with_dir @@ fun dir ->
   let cluster = Cluster.chti in
-  let profile = small_profile cluster in
-  let arrivals = Load.trace profile in
+  let arrivals =
+    Array.to_list
+      (Array.map
+         (fun (job : Trace.job) -> (job.Trace.at, Load.request_of_job job))
+         (small_trace cluster))
+  in
   (* Reference: uninterrupted journaled run. *)
   let reference =
     let journal = Journal.open_ ~dir ~name:"ref" ~resume:false () in
@@ -792,6 +808,303 @@ let test_journal_resume () =
   check Alcotest.bool "resumed log bit-identical" true
     (log_string resumed = reference)
 
+
+(* --- daemon connection core over a fake transport ------------------------ *)
+
+(* A socket stand-in: [room] bytes are accepted before the next write
+   reports EAGAIN, at most [chunk] per call; [broken] makes every write
+   fail like EPIPE. *)
+type fake = {
+  out : Buffer.t;
+  mutable room : int;
+  mutable chunk : int;
+  mutable broken : bool;
+}
+
+let fake ?(room = max_int) ?(chunk = max_int) () =
+  { out = Buffer.create 256; room; chunk; broken = false }
+
+let transport f =
+  {
+    Daemon.write =
+      (fun s off len ->
+        if f.broken then Daemon.Broken
+        else if f.room = 0 then Daemon.Again
+        else begin
+          let n = min len (min f.room f.chunk) in
+          Buffer.add_substring f.out s off n;
+          f.room <- f.room - n;
+          Daemon.Wrote n
+        end);
+  }
+
+let daemon ?fault ?(client_buffer = 1 lsl 20) ?(backlog_limit = 1 lsl 24) ()
+    =
+  let engine = Engine.create (config Cluster.chti) in
+  (engine, Daemon.create ?fault ~client_buffer ~backlog_limit engine)
+
+let connect d f = Daemon.connect d (transport f)
+
+(* All messages in one chunk, as one read would deliver them. *)
+let say d c msgs =
+  let s =
+    String.concat ""
+      (List.map (fun m -> Protocol.to_frame (Protocol.client_to_json m)) msgs)
+  in
+  Daemon.receive d c (Bytes.of_string s) (String.length s)
+
+let server_frame m = Protocol.to_frame (Protocol.server_to_json m)
+
+(* The "re" tag of every complete frame the fake socket took. *)
+let tags f =
+  let dec = Protocol.Decoder.create () in
+  let b = Buffer.to_bytes f.out in
+  Protocol.Decoder.feed dec b 0 (Bytes.length b);
+  let rec go acc =
+    match Protocol.Decoder.next dec with
+    | Ok None -> List.rev acc
+    | Ok (Some doc) -> (
+        match J.member "re" doc with
+        | Some (J.Str tag) -> go (tag :: acc)
+        | _ -> Alcotest.fail "reply without a tag")
+    | Error e -> Alcotest.failf "reply stream corrupt: %s" e
+  in
+  go []
+
+let health_int d key =
+  match Option.bind (J.member key (Daemon.health d)) J.to_int with
+  | Some n -> n
+  | None -> Alcotest.failf "health has no integer %S" key
+
+let degraded d =
+  match J.member "degraded" (Daemon.health d) with
+  | Some (J.Bool b) -> b
+  | _ -> Alcotest.fail "health has no degraded flag"
+
+let strings = Alcotest.(list string)
+
+let test_daemon_partial_write () =
+  let _, d = daemon () in
+  (* Three bytes per write, and the socket fills after five. *)
+  let f = fake ~room:5 ~chunk:3 () in
+  let c = connect d f in
+  say d c [ Protocol.Ping; Protocol.Ping; Protocol.Ping ];
+  let pongs =
+    String.concat "" (List.init 3 (fun _ -> server_frame Protocol.Pong))
+  in
+  check Alcotest.string "socket took five bytes" (String.sub pongs 0 5)
+    (Buffer.contents f.out);
+  check Alcotest.int "rest buffered" (String.length pongs - 5)
+    (health_int d "backlog_bytes");
+  f.room <- max_int;
+  Daemon.flush d c;
+  check Alcotest.string "resumed byte-exactly" pongs (Buffer.contents f.out);
+  check Alcotest.bool "nothing left to write" false (Daemon.wants_write c);
+  check Alcotest.int "backlog drained" 0 (health_int d "backlog_bytes")
+
+let test_daemon_eagain () =
+  let _, d = daemon () in
+  let f = fake ~room:0 () in
+  let c = connect d f in
+  say d c [ Protocol.Ping ];
+  check Alcotest.bool "client kept" true (Daemon.alive c);
+  check Alcotest.bool "output pending" true (Daemon.wants_write c);
+  check Alcotest.int "reply buffered"
+    (String.length (server_frame Protocol.Pong))
+    (health_int d "backlog_bytes");
+  f.room <- max_int;
+  Daemon.flush d c;
+  check strings "reply delivered on the next round" [ "pong" ] (tags f);
+  check Alcotest.int "backlog drained" 0 (health_int d "backlog_bytes")
+
+let test_daemon_epipe () =
+  let _, d = daemon () in
+  let f = fake () in
+  f.broken <- true;
+  let c = connect d f in
+  say d c [ Protocol.Ping ];
+  check Alcotest.bool "client dropped" false (Daemon.alive c);
+  check Alcotest.int "not counted as an eviction" 0 (health_int d "evicted");
+  check Alcotest.int "no live clients" 0 (health_int d "clients");
+  check Alcotest.int "its output released" 0 (health_int d "backlog_bytes")
+
+let test_daemon_evicts_stalled_watcher () =
+  let client_buffer = 1024 in
+  let engine, d = daemon ~client_buffer () in
+  let stalled = fake ~room:0 () and busy = fake () in
+  let w = connect d stalled and b = connect d busy in
+  say d w [ Protocol.Watch ];
+  (* Subscribed after the daemon, so this observer sees each event after
+     it was streamed (or the watcher evicted). The stalled watcher holds
+     the whole backlog. *)
+  let observed = ref 0 in
+  Engine.subscribe engine (fun _ ->
+      if Daemon.alive w then begin
+        incr observed;
+        let backlog = health_int d "backlog_bytes" in
+        if backlog > client_buffer then
+          Alcotest.failf "watcher kept %d bytes buffered, budget %d" backlog
+            client_buffer
+      end);
+  let submit = Protocol.Submit { at = Some 0.; request = request (fft 2 0) } in
+  say d b [ submit; submit; submit; submit; Protocol.Drain ];
+  check Alcotest.bool "watcher streamed before eviction" true (!observed > 0);
+  check Alcotest.bool "stalled watcher evicted" false (Daemon.alive w);
+  check Alcotest.int "one eviction" 1 (health_int d "evicted");
+  check strings "other client's replies arrived"
+    [ "ack"; "ack"; "ack"; "ack"; "drained" ]
+    (tags busy);
+  check Alcotest.bool "other client kept" true (Daemon.alive b)
+
+(* A client whose socket never drains, holding [n] pongs of backlog. *)
+let stalled_pinger d n =
+  let f = fake ~room:0 () in
+  let c = connect d f in
+  say d c (List.init n (fun _ -> Protocol.Ping));
+  (f, c)
+
+let test_daemon_degraded_hysteresis () =
+  let pong = String.length (server_frame Protocol.Pong) in
+  let backlog_limit = 10 * pong in
+  let _, d = daemon ~backlog_limit () in
+  let f, c = stalled_pinger d 10 in
+  check Alcotest.bool "at the limit: still ready" false (degraded d);
+  say d c [ Protocol.Ping ];
+  check Alcotest.bool "above the limit: degraded" true (degraded d);
+  (* Drain to exactly half the limit: not yet below it. *)
+  f.room <- 6 * pong;
+  Daemon.flush d c;
+  check Alcotest.int "backlog at half the limit" (backlog_limit / 2)
+    (health_int d "backlog_bytes");
+  check Alcotest.bool "at half the limit: still degraded" true (degraded d);
+  f.room <- 1;
+  Daemon.flush d c;
+  check Alcotest.bool "below half the limit: recovered" false (degraded d)
+
+let test_daemon_sheds_while_degraded () =
+  let pong = String.length (server_frame Protocol.Pong) in
+  let engine, d = daemon ~backlog_limit:(10 * pong) () in
+  let watching = fake () and other = fake () in
+  let w = connect d watching and b = connect d other in
+  say d w [ Protocol.Watch ];
+  ignore (stalled_pinger d 11);
+  check Alcotest.bool "degraded" true (degraded d);
+  say d b
+    [
+      Protocol.Watch;
+      Protocol.Log;
+      Protocol.Submit { at = Some 0.; request = request (fft 2 0) };
+      Protocol.Drain;
+    ];
+  check strings "watch and log refused, commands served"
+    [ "error"; "error"; "ack"; "drained" ]
+    (tags other);
+  check strings "watcher got no events" [ "watching" ] (tags watching);
+  check Alcotest.int "every event shed"
+    (List.length (Engine.events engine))
+    (health_int d "events_shed");
+  check Alcotest.int "watchers" 1 (health_int d "watchers")
+
+(* The first fault seed whose decisions satisfy [want]. *)
+let fault_seed spec want =
+  let rec go seed =
+    if seed > 10_000 then Alcotest.fail "no seed fits"
+    else
+      match Fault.parse (Printf.sprintf "seed=%d,%s" seed spec) with
+      | Error e -> Alcotest.failf "fault spec rejected: %s" e
+      | Ok f -> if want f then f else go (seed + 1)
+  in
+  go 0
+
+(* Decisions where only the second message (or chunk) of client 0 is hit,
+   keyed "<client>:<count>": an off-by-one key misses it. *)
+let second_of_client_0 fires f =
+  fires f "0:2"
+  && List.for_all
+       (fun key -> not (fires f key))
+       [ "0:1"; "0:3"; "1:1"; "1:2"; "1:3" ]
+
+(* One ping per chunk: client 0 twice, client 1 three times. *)
+let ping_both d c0 c1 =
+  List.iter (fun c -> say d c [ Protocol.Ping ]) [ c0; c1; c0; c1; c1 ]
+
+let test_daemon_client_crash_site () =
+  let site = "server.client" in
+  let fires f key = Fault.fires f Fault.Crash ~site ~key in
+  let fault = fault_seed "crash@server.client=0.5" (second_of_client_0 fires) in
+  let _, d = daemon ~fault () in
+  let f0 = fake () and f1 = fake () in
+  let c0 = connect d f0 and c1 = connect d f1 in
+  ping_both d c0 c1;
+  check Alcotest.bool "second message of client 0 drops it" false
+    (Daemon.alive c0);
+  check strings "client 0 served once" [ "pong" ] (tags f0);
+  check Alcotest.bool "client 1 kept" true (Daemon.alive c1);
+  check strings "client 1 served" [ "pong"; "pong"; "pong" ] (tags f1)
+
+let test_daemon_read_corrupt_site () =
+  let site = "server.read" in
+  let fires f key = Fault.fires f Fault.Corrupt ~site ~key in
+  let fault = fault_seed "corrupt@server.read=0.5" (second_of_client_0 fires) in
+  let _, d = daemon ~fault () in
+  let f0 = fake () and f1 = fake () in
+  let c0 = connect d f0 and c1 = connect d f1 in
+  ping_both d c0 c1;
+  check Alcotest.bool "second chunk of client 0 drops it" false
+    (Daemon.alive c0);
+  check strings "client 0 told why" [ "pong"; "error" ] (tags f0);
+  check Alcotest.bool "client 1 kept" true (Daemon.alive c1);
+  check strings "client 1 served" [ "pong"; "pong"; "pong" ] (tags f1)
+
+let test_daemon_dispatch_and_shutdown () =
+  let engine, d = daemon () in
+  let f = fake () in
+  let c = connect d f in
+  let r = request ~strategy:(Core.Rats.Delta Core.Rats.naive_delta) (fft 4 1) in
+  say d c
+    [ Protocol.Plan r; Protocol.Plan { r with Api.procs = 10_000 } ];
+  let expected =
+    match Api.place ~cluster:(Engine.cluster engine) r with
+    | Ok (response, _) ->
+        server_frame (Protocol.Placed (Api.response_to_json response))
+    | Error e -> Alcotest.failf "place failed: %s" e
+  in
+  check Alcotest.string "plan answered with Api.place's response" expected
+    (String.sub (Buffer.contents f.out) 0 (String.length expected));
+  check strings "invalid plan refused" [ "placed"; "error" ] (tags f);
+  Buffer.clear f.out;
+  say d c [ Protocol.Shutdown; Protocol.Ping ];
+  check strings "bye, and nothing after it" [ "bye" ] (tags f);
+  check Alcotest.bool "stopped" true (Daemon.stopped d)
+
+let test_engine_end_time_is_last_event () =
+  (* A queue-wait deadline far beyond the makespan: every job starts at
+     once, and its expiry timer fires long after the last completion. *)
+  let cluster = Cluster.chti in
+  let policy =
+    Admission.make ~deadline_s:1e6 ~queue_limit:64 ~tenant_limit:64 ()
+  in
+  let engine = Engine.create { (config cluster) with Engine.policy } in
+  (match Engine.submit engine ~at:0. (request (fft 2 0)) with
+  | Ok (_ : int) -> ()
+  | Error e -> Alcotest.failf "submit failed: %s" e);
+  let end_time = Engine.drain engine in
+  let last_completed =
+    List.fold_left
+      (fun acc ev ->
+        match ev.Api.event with Api.Completed _ -> ev.Api.t | _ -> acc)
+      nan (Engine.events engine)
+  in
+  check Alcotest.bool "a job completed" true (Float.is_finite last_completed);
+  check Alcotest.bool "end time = last completion" true
+    (end_time = last_completed);
+  let stats = Engine.stats engine in
+  check Alcotest.bool "stats end time" true (stats.Engine.end_time = end_time);
+  check Alcotest.bool "utilization over the trace" true
+    (stats.Engine.utilization
+    = stats.Engine.busy_time
+      /. (float_of_int (Cluster.n_procs cluster) *. end_time))
+
 let () =
   Alcotest.run "server"
     [
@@ -824,5 +1137,27 @@ let () =
           Alcotest.test_case "matches offline evaluator" `Quick
             test_engine_matches_evaluate;
           Alcotest.test_case "journal resume" `Quick test_journal_resume;
+          Alcotest.test_case "end time is the last event" `Quick
+            test_engine_end_time_is_last_event;
+        ] );
+      ( "daemon",
+        [
+          Alcotest.test_case "partial write resumed" `Quick
+            test_daemon_partial_write;
+          Alcotest.test_case "eagain keeps output" `Quick test_daemon_eagain;
+          Alcotest.test_case "epipe drops without eviction" `Quick
+            test_daemon_epipe;
+          Alcotest.test_case "stalled watcher evicted" `Quick
+            test_daemon_evicts_stalled_watcher;
+          Alcotest.test_case "degraded hysteresis" `Quick
+            test_daemon_degraded_hysteresis;
+          Alcotest.test_case "sheds while degraded" `Quick
+            test_daemon_sheds_while_degraded;
+          Alcotest.test_case "crash at server.client" `Quick
+            test_daemon_client_crash_site;
+          Alcotest.test_case "corrupt at server.read" `Quick
+            test_daemon_read_corrupt_site;
+          Alcotest.test_case "dispatch and shutdown" `Quick
+            test_daemon_dispatch_and_shutdown;
         ] );
     ]

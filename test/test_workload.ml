@@ -1,6 +1,6 @@
 (* Tests for the workload engine (lib/workload) and its study runner:
-   arrival-process sanity, trace compilation determinism and byte-compat
-   with the historical Server.Load generator, trace-file round-trips,
+   arrival-process sanity, trace compilation determinism, golden digests
+   of the historical selftest traces, trace-file round-trips,
    study-runner invariants and CSV determinism, and the new Stats
    helpers (Welford mean/std, Jain's fairness). *)
 
@@ -19,7 +19,6 @@ module Report = Rats_workload.Report
 module Study = Rats_workload_study.Study
 module Api = Rats_server.Api
 module Admission = Rats_server.Admission
-module Load = Rats_server.Load
 module Seeded = Rats_test_support.Seeded
 
 let check = Alcotest.check
@@ -173,81 +172,34 @@ let test_trace_deterministic () =
         (Trace.equal t1 (Trace.compile p')))
     [ "poisson"; "bursty"; "diurnal"; "pipeline"; "mixed" ]
 
-(* Replicates the pre-workload-engine Server.Load generator loop verbatim;
-   the shim must reproduce it draw for draw, bit for bit. *)
-let legacy_trace (p : Load.profile) =
-  let spec_pool =
-    [|
-      Suite.Layered
-        {
-          n_tasks = 25;
-          shape = Shape.make ~width:0.5 ~regularity:0.8 ~density:0.2 ();
-        };
-      Suite.Layered
-        {
-          n_tasks = 25;
-          shape = Shape.make ~width:0.2 ~regularity:0.2 ~density:0.8 ();
-        };
-      Suite.Irregular
-        {
-          n_tasks = 25;
-          shape = Shape.make ~width:0.5 ~regularity:0.2 ~density:0.2 ~jump:2 ();
-        };
-      Suite.Fft { k = 2 };
-      Suite.Strassen;
-    |]
-  in
-  let per_tenant_rate = p.Load.rate /. float_of_int p.Load.n_tenants in
-  let arrivals = ref [] in
-  for tenant = 0 to p.Load.n_tenants - 1 do
-    let rng = Rng.create (p.Load.seed + (7919 * tenant)) in
-    let tenant_name = Printf.sprintf "tenant-%d" tenant in
-    let jobs =
-      (p.Load.n_jobs / p.Load.n_tenants)
-      + if tenant < p.Load.n_jobs mod p.Load.n_tenants then 1 else 0
-    in
-    let t = ref 0. in
-    for _ = 1 to jobs do
-      let u = Rng.float rng 1. in
-      t := !t +. (-.log (1. -. u) /. per_tenant_rate);
-      let spec = spec_pool.(Rng.int rng (Array.length spec_pool)) in
-      let sample = Rng.int_range rng 0 2 in
-      let procs = Rng.int_range rng p.Load.procs_min p.Load.procs_max in
-      let request =
-        {
-          Api.tenant = tenant_name;
-          job = Api.Generated { Suite.spec; sample };
-          strategy = p.Load.strategy;
-          procs;
-        }
-      in
-      arrivals := (!t, request) :: !arrivals
-    done
-  done;
-  List.sort
-    (fun ((t1 : float), (r1 : Api.request)) (t2, (r2 : Api.request)) ->
-      compare (t1, r1.Api.tenant) (t2, r2.Api.tenant))
-    !arrivals
-
-let test_load_shim_byte_identical () =
+(* Digests of [Trace.save] output for three service profiles: the default
+   selftest trace, an uneven tenant split, and a small chti trace with the
+   baseline strategy. They were taken while the pre-workload-engine
+   generator loop still served as this test's oracle and matched it bit for
+   bit, so they pin the historical [ratsd --selftest] arrival traces. *)
+let test_service_trace_golden () =
   List.iter
-    (fun (profile : Load.profile) ->
-      let legacy = legacy_trace profile in
-      let shimmed = Load.trace profile in
-      check Alcotest.int "same length" (List.length legacy)
-        (List.length shimmed);
-      (* Structural equality covers every float bit and every spec field. *)
-      check Alcotest.bool "trace bit-identical" true (legacy = shimmed))
+    (fun (cluster, n_jobs, n_tenants, rate, seed, strategy, digest) ->
+      let trace =
+        Trace.compile
+          (Profile.service ~cluster ~n_jobs ~n_tenants ~rate ~seed ~strategy ())
+      in
+      let path = tmp_file () in
+      Fun.protect
+        ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+        (fun () ->
+          Trace.save path trace;
+          check Alcotest.string
+            (Printf.sprintf "%s %d jobs digest" cluster.Cluster.name n_jobs)
+            digest
+            (Digest.to_hex (Digest.file path))))
     [
-      Load.default_profile cluster;
-      { (Load.default_profile cluster) with Load.n_jobs = 31; n_tenants = 3 };
-      {
-        (Load.default_profile Cluster.chti) with
-        Load.n_jobs = 17;
-        seed = 7;
-        rate = 0.4;
-        strategy = Rats.Baseline;
-      };
+      ( cluster, 120, 4, 0.05, 42, Rats.Delta Rats.naive_delta,
+        "0e39c913472b49f08eb967341c6ebaaf" );
+      ( cluster, 31, 3, 0.05, 42, Rats.Delta Rats.naive_delta,
+        "ff5019e83f7fa203c66bebf983d1cbd4" );
+      ( Cluster.chti, 17, 4, 0.4, 7, Rats.Baseline,
+        "b3847032026a7d0dd873ebccc0f7e87d" );
     ]
 
 let test_trace_jobs_invariant () =
@@ -390,8 +342,8 @@ let () =
       ( "trace",
         [
           Alcotest.test_case "deterministic" `Quick test_trace_deterministic;
-          Alcotest.test_case "load shim byte-identical" `Quick
-            test_load_shim_byte_identical;
+          Alcotest.test_case "service golden digests" `Quick
+            test_service_trace_golden;
           Alcotest.test_case "worker count invariant" `Quick
             test_trace_jobs_invariant;
           Alcotest.test_case "file round-trip" `Quick
