@@ -36,7 +36,7 @@
 #                           bench_results/archive/BENCH_runtime.<LABEL>.json
 #                           (LABEL=... required) so studio diffs can reach
 #                           past runs
-#   make salt-check         warn when lib/{sim,core,dag,redist} changed
+#   make salt-check         warn when lib/{sim,core,dag,redist,exp} changed
 #                           without a Cache.version bump (STRICT=1 to fail)
 #   make check              build + tier-1 tests + lint + lint-smoke +
 #                           trace-smoke + server-smoke + chaos-smoke +

@@ -13,52 +13,15 @@ type ratio_row = {
   max_ratio : float;
 }
 
-(* Study-level caching: each study's whole row set is one cache entry keyed
-   by study name, cluster signature and configuration set. Labels may
-   contain spaces, so rows serialize as tab-separated lines. *)
-let study_key study cluster configs =
-  Cache.key
-    ([ "ablation." ^ study; Cluster.signature cluster ]
-    @ List.map Suite.name configs)
-
-let encode_rows rows =
-  String.concat "\n"
-    (List.map
-       (fun r -> Printf.sprintf "%s\t%h\t%h" r.label r.mean_ratio r.max_ratio)
-       rows)
-
-let decode_rows payload =
-  let decode_row line =
-    match String.split_on_char '\t' line with
-    | [ label; mean; max ] -> (
-        try
-          Some
-            {
-              label;
-              mean_ratio = float_of_string mean;
-              max_ratio = float_of_string max;
-            }
-        with Failure _ -> None)
-    | _ -> None
-  in
-  let rows = List.map decode_row (String.split_on_char '\n' payload) in
-  if List.for_all Option.is_some rows then
-    Some (List.filter_map Fun.id rows)
-  else None
-
-let cached_study ~exec ~study ~encode ~decode cluster configs compute =
-  match exec.Exec.cache with
-  | None -> compute ()
-  | Some c -> (
-      let key = study_key study cluster configs in
-      match Option.bind (Cache.find c key) decode with
-      | Some v -> v
-      | None ->
-          (* Whole-study entries must not capture rows computed while
-             configurations were being dropped to faults. *)
-          let v, clean = Exec.computed_cleanly exec compute in
-          if clean then Cache.store c key (encode v);
-          v)
+(* Study-level caching: each study's whole row set is one aggregate entry
+   keyed by study name, cluster signature and configuration set. *)
+let cached_study ~exec ~study ~to_rows ~of_rows cluster configs compute =
+  Exec.memo exec
+    ~key:
+      (Cache.key
+         (("ablation." ^ study) :: Cluster.signature cluster
+         :: List.map Suite.name configs))
+    ~to_rows ~of_rows compute
 
 (* Per-configuration scheduling is the expensive, fault-prone unit; a
    failed configuration drops out of the study averages and is counted in
@@ -74,8 +37,17 @@ let schedules_for ~exec cluster configs strategy =
     configs
   |> Exec.oks
 
-let ratio_study ~exec cluster configs ~ablated ~full =
+let ratio_study ~exec ~study cluster configs ~ablated ~full =
   let jobs = exec.Exec.jobs in
+  cached_study ~exec ~study
+    ~to_rows:(List.map (fun r -> (r.label, [ r.mean_ratio; r.max_ratio ])))
+    ~of_rows:
+      (Cache.map_rows (function
+        | label, [ mean_ratio; max_ratio ] ->
+            Some { label; mean_ratio; max_ratio }
+        | _ -> None))
+    cluster configs
+  @@ fun () ->
   List.map
     (fun (label, strategy) ->
       let ratios =
@@ -98,18 +70,20 @@ let ratio_study ~exec cluster configs ~ablated ~full =
     ]
 
 let placement_study ?(exec = Exec.make ()) cluster configs =
-  cached_study ~exec ~study:"placement" ~encode:encode_rows
-    ~decode:decode_rows cluster configs (fun () ->
-      ratio_study ~exec cluster configs
-        ~ablated:(Core.Evaluate.run ~optimize_placement:false)
-        ~full:(Core.Evaluate.run ~optimize_placement:true))
+  ratio_study ~exec ~study:"placement" cluster configs
+    ~ablated:(Core.Evaluate.run ~optimize_placement:false)
+    ~full:(Core.Evaluate.run ~optimize_placement:true)
 
 let replay_study ?(exec = Exec.make ()) cluster configs =
-  cached_study ~exec ~study:"replay" ~encode:encode_rows ~decode:decode_rows
-    cluster configs (fun () ->
-      ratio_study ~exec cluster configs
-        ~ablated:(Core.Evaluate.run ~work_conserving:false)
-        ~full:(Core.Evaluate.run ~work_conserving:true))
+  ratio_study ~exec ~study:"replay" cluster configs
+    ~ablated:(Core.Evaluate.run ~work_conserving:false)
+    ~full:(Core.Evaluate.run ~work_conserving:true)
+
+let mean_makespan ~exec schedules =
+  Pool.map ~jobs:exec.Exec.jobs
+    (fun s -> (Core.Evaluate.run s).Core.Evaluate.makespan)
+    schedules
+  |> Array.of_list |> Stats.mean
 
 let window_values =
   [ 16. *. 1024.; 65536.; 262144.; 1048576.; 4. *. 1048576. ]
@@ -126,21 +100,20 @@ let window_study ?(exec = Exec.make ()) configs =
       in
       let mean =
         cached_study ~exec ~study:"window"
-          ~encode:(Printf.sprintf "%h")
-          ~decode:(fun s ->
-            match float_of_string_opt s with Some v -> Some v | None -> None)
+          ~to_rows:(fun mean -> [ ("mean", [ mean ]) ])
+          ~of_rows:(function [ ("mean", [ mean ]) ] -> Some mean | _ -> None)
           cluster configs
           (fun () ->
-            Stats.mean
-              (Array.of_list
-                 (Pool.map ~jobs:exec.Exec.jobs
-                    (fun s -> (Core.Evaluate.run s).Core.Evaluate.makespan)
-                    (schedules_for ~exec cluster configs Core.Rats.Baseline))))
+            mean_makespan ~exec
+              (schedules_for ~exec cluster configs Core.Rats.Baseline))
       in
       (tcp_wmax, mean))
     window_values
 
-let purity_rows ~exec cluster configs =
+let purity_study ?(exec = Exec.make ()) cluster configs =
+  cached_study ~exec ~study:"purity" ~to_rows:Runner.scalar_rows
+    ~of_rows:Runner.of_scalar_rows cluster configs
+  @@ fun () ->
   let jobs = exec.Exec.jobs in
   let problems =
     Exec.map exec
@@ -150,13 +123,7 @@ let purity_rows ~exec cluster configs =
       configs
     |> Exec.oks
   in
-  let mean_of schedules =
-    Stats.mean
-      (Array.of_list
-         (Pool.map ~jobs
-            (fun s -> (Core.Evaluate.run s).Core.Evaluate.makespan)
-            schedules))
-  in
+  let mean_of = mean_makespan ~exec in
   let timecost =
     mean_of
       (Pool.map ~jobs
@@ -173,35 +140,8 @@ let purity_rows ~exec cluster configs =
   in
   List.map (fun (label, v) -> (label, v /. timecost)) rows
 
-let purity_study ?(exec = Exec.make ()) cluster configs =
-  let encode rows =
-    String.concat "\n"
-      (List.map (fun (label, v) -> Printf.sprintf "%s\t%h" label v) rows)
-  in
-  let decode payload =
-    let row line =
-      match String.split_on_char '\t' line with
-      | [ label; v ] -> (
-          match float_of_string_opt v with
-          | Some v -> Some (label, v)
-          | None -> None)
-      | _ -> None
-    in
-    let rows = List.map row (String.split_on_char '\n' payload) in
-    if List.for_all Option.is_some rows then Some (List.filter_map Fun.id rows)
-    else None
-  in
-  cached_study ~exec ~study:"purity" ~encode ~decode cluster configs
-    (fun () -> purity_rows ~exec cluster configs)
-
 (* A small, shape-diverse subset keeps the studies affordable. *)
-let study_configs scale =
-  let all = Suite.all scale in
-  let firsts = List.filter (fun c -> c.Suite.sample = 0) all in
-  let n = List.length firsts in
-  let cap = 20 in
-  if n <= cap then firsts
-  else List.filteri (fun i _ -> i * cap / n <> (i - 1) * cap / n) firsts
+let study_configs scale = Tuning.first_samples ~cap:20 (Suite.all scale)
 
 let print_all ?exec ppf scale =
   let configs = study_configs scale in

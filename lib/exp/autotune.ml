@@ -97,43 +97,19 @@ let rules_timecost f =
   }
 
 (* The whole study is one cache entry: the rows depend only on the cluster,
-   the configuration set and the probe grids (shared with Tuning). *)
-let study_key cluster configs =
-  Rats_runtime.Cache.key
-    ([
-       "autotune.selector_study";
-       Rats_platform.Cluster.signature cluster;
-       String.concat ","
-         (List.map (fun v -> Printf.sprintf "%h" v) Tuning.mindelta_values);
-       String.concat ","
-         (List.map (fun v -> Printf.sprintf "%h" v) Tuning.maxdelta_values);
-       String.concat ","
-         (List.map (fun v -> Printf.sprintf "%h" v) Tuning.minrho_values);
-     ]
-    @ List.map Rats_daggen.Suite.name configs)
-
-let encode_rows rows =
-  String.concat "\n"
-    (List.map (fun (label, v) -> Printf.sprintf "%s\t%h" label v) rows)
-
-let decode_rows payload =
-  let rows =
-    List.map
-      (fun line ->
-        match String.index_opt line '\t' with
-        | Some i -> (
-            let label = String.sub line 0 i in
-            let v = String.sub line (i + 1) (String.length line - i - 1) in
-            try Some (label, float_of_string v) with Failure _ -> None)
-        | None -> None)
-      (String.split_on_char '\n' payload)
-  in
-  if rows <> [] && List.for_all Option.is_some rows then
-    Some (List.filter_map Fun.id rows)
-  else None
-
-let compute_selector_study ~exec cluster configs =
-  let selectors =
+   the configuration set and the probe grids (shared with Tuning). A
+   configuration whose baseline fails drops out of every selector's average
+   (counted in [exec.stats]); the per-selector replays are cheap and stay
+   on the plain pool. *)
+let selector_study ?(exec = Rats_runtime.Exec.make ()) cluster configs =
+  Rats_runtime.Exec.memo exec
+    ~key:(Tuning.grid_key "autotune.selector_study" cluster configs)
+    ~to_rows:Runner.scalar_rows ~of_rows:Runner.of_scalar_rows
+  @@ fun () ->
+  let prepared = Tuning.prepare ~exec cluster configs in
+  let map = Rats_runtime.Pool.map ~jobs:exec.Rats_runtime.Exec.jobs in
+  List.map
+    (fun (name, select) -> (name, Tuning.average_relative ~map prepared select))
     [
       ("naive delta", fun _ -> Core.Rats.Delta Core.Rats.naive_delta);
       ("naive time-cost", fun _ -> Core.Rats.Timecost Core.Rats.naive_timecost);
@@ -142,52 +118,3 @@ let compute_selector_study ~exec cluster configs =
       ( "rules time-cost",
         fun p -> Core.Rats.Timecost (rules_timecost (features p)) );
     ]
-  in
-  let module Exec = Rats_runtime.Exec in
-  (* A configuration whose baseline fails drops out of every selector's
-     average (counted in [exec.stats]); the per-selector replays below are
-     cheap and stay on the plain pool. *)
-  let prepared =
-    Exec.map exec
-      ~name:(fun c ->
-        "autotune.prepare/" ^ cluster.Rats_platform.Cluster.name ^ "/"
-        ^ Rats_daggen.Suite.name c)
-      ~f:(fun config ->
-        let dag = Rats_daggen.Suite.generate config in
-        let problem = Core.Problem.make ~dag ~cluster in
-        let alloc = Core.Hcpa.allocate problem in
-        let hcpa =
-          Core.Algorithms.makespan (Core.Algorithms.run ~alloc problem Core.Rats.Baseline)
-        in
-        (problem, alloc, hcpa))
-      configs
-    |> Exec.oks
-  in
-  List.map
-    (fun (name, select) ->
-      let ratios =
-        Rats_runtime.Pool.map ~jobs:exec.Exec.jobs
-          (fun (problem, alloc, hcpa) ->
-            let strategy = select problem in
-            Core.Algorithms.makespan (Core.Algorithms.run ~alloc problem strategy)
-            /. hcpa)
-          prepared
-        |> Array.of_list
-      in
-      (name, Rats_util.Stats.mean ratios))
-    selectors
-
-let selector_study ?(exec = Rats_runtime.Exec.make ()) cluster configs =
-  match exec.Rats_runtime.Exec.cache with
-  | None -> compute_selector_study ~exec cluster configs
-  | Some c -> (
-      let key = study_key cluster configs in
-      match Option.bind (Rats_runtime.Cache.find c key) decode_rows with
-      | Some rows -> rows
-      | None ->
-          let rows, clean =
-            Rats_runtime.Exec.computed_cleanly exec (fun () ->
-                compute_selector_study ~exec cluster configs)
-          in
-          if clean then Rats_runtime.Cache.store c key (encode_rows rows);
-          rows)

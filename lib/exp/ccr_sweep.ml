@@ -31,15 +31,6 @@ let cell_key cluster config flop_factor =
       Printf.sprintf "%h" flop_factor;
     ]
 
-let encode_cell (ccr, d, t) = Printf.sprintf "%h %h %h" ccr d t
-
-let decode_cell payload =
-  match String.split_on_char ' ' payload with
-  | [ a; b; c ] -> (
-      try Some (float_of_string a, float_of_string b, float_of_string c)
-      with Failure _ -> None)
-  | _ -> None
-
 let measure_cell cluster config flop_factor =
   let dag = scale_flop (Suite.generate config) flop_factor in
   let problem = Core.Problem.make ~dag ~cluster in
@@ -63,7 +54,8 @@ let cell ~exec cluster config flop_factor =
       (Printf.sprintf "ccr/%s/%s@x%g" cluster.Cluster.name (Suite.name config)
          flop_factor)
     ~key:(cell_key cluster config flop_factor)
-    ~encode:encode_cell ~decode:decode_cell
+    ~to_rows:(fun (ccr, d, t) -> [ ("", [ ccr; d; t ]) ])
+    ~of_rows:(function [ (_, [ ccr; d; t ]) ] -> Some (ccr, d, t) | _ -> None)
     (fun () -> measure_cell cluster config flop_factor)
 
 let run ?(exec = Exec.make ()) cluster configs =

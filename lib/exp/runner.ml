@@ -44,31 +44,32 @@ let cache_key ~cluster ~delta ~timecost config =
         timecost.Core.Rats.packing;
     ]
 
-(* "%h" floats round-trip bit-exactly through [float_of_string], so cached
-   replays are indistinguishable from fresh computation. *)
-let encode_result r =
-  Printf.sprintf "%h %h %h %h %h %h" r.hcpa.makespan r.hcpa.work
-    r.delta.makespan r.delta.work r.timecost.makespan r.timecost.work
+let to_rows r =
+  List.map
+    (fun (label, m) -> (label, [ m.makespan; m.work ]))
+    [ ("hcpa", r.hcpa); ("delta", r.delta); ("timecost", r.timecost) ]
 
-let decode_result ~config ~cluster payload =
-  match String.split_on_char ' ' payload with
-  | [ a; b; c; d; e; f ] -> (
-      let fl = float_of_string in
-      try
-        Some
-          {
-            config;
-            cluster;
-            hcpa = { makespan = fl a; work = fl b };
-            delta = { makespan = fl c; work = fl d };
-            timecost = { makespan = fl e; work = fl f };
-          }
-      with Failure _ -> None)
+let of_rows ~config ~cluster = function
+  | [ ("hcpa", [ a; b ]); ("delta", [ c; d ]); ("timecost", [ e; f ]) ] ->
+      Some
+        {
+          config;
+          cluster;
+          hcpa = { makespan = a; work = b };
+          delta = { makespan = c; work = d };
+          timecost = { makespan = e; work = f };
+        }
   | _ -> None
+
+let scalar_rows = List.map (fun (label, v) -> (label, [ v ]))
+
+let of_scalar_rows =
+  Cache.map_rows (function label, [ v ] -> Some (label, v) | _ -> None)
 
 (* --- execution ---------------------------------------------------------- *)
 
-let compute_config ~delta ~timecost cluster config =
+let run_config ?(delta = Core.Rats.naive_delta)
+    ?(timecost = Core.Rats.naive_timecost) cluster config =
   (* Same pipeline as the online service (Server.Api): DAG generation,
      problem construction, HCPA allocation — bit-identical to the historic
      inline sequence. *)
@@ -83,42 +84,13 @@ let compute_config ~delta ~timecost cluster config =
     timecost = strategy_measurement ~alloc problem (Core.Rats.Timecost timecost);
   }
 
-let task_name cluster config = cluster.Cluster.name ^ "/" ^ Suite.name config
-
-(* One configuration through the full fault-tolerance stack: cache lookup,
-   journal replay, fault points, retries and timeout. *)
-let run_config_exec ~delta ~timecost ~exec cluster config =
-  Exec.keyed exec
-    ~name:(task_name cluster config)
-    ~key:(cache_key ~cluster ~delta ~timecost config)
-    ~encode:encode_result
-    ~decode:(decode_result ~config ~cluster:cluster.Cluster.name)
-    (fun () -> compute_config ~delta ~timecost cluster config)
-
 let run_config_outcome ?(delta = Core.Rats.naive_delta)
     ?(timecost = Core.Rats.naive_timecost) ~exec cluster config =
-  run_config_exec ~delta ~timecost ~exec cluster config
-
-(* Returns whether the result came from the cache, for hit-rate reporting. *)
-let run_config_cached ~delta ~timecost ~cache cluster config =
-  match cache with
-  | None -> (false, compute_config ~delta ~timecost cluster config)
-  | Some cache -> (
-      let key = cache_key ~cluster ~delta ~timecost config in
-      let cached =
-        Option.bind (Cache.find cache key)
-          (decode_result ~config ~cluster:cluster.Cluster.name)
-      in
-      match cached with
-      | Some r -> (true, r)
-      | None ->
-          let r = compute_config ~delta ~timecost cluster config in
-          Cache.store cache key (encode_result r);
-          (false, r))
-
-let run_config ?(delta = Core.Rats.naive_delta)
-    ?(timecost = Core.Rats.naive_timecost) ?cache cluster config =
-  snd (run_config_cached ~delta ~timecost ~cache cluster config)
+  Exec.keyed exec
+    ~name:(cluster.Cluster.name ^ "/" ^ Suite.name config)
+    ~key:(cache_key ~cluster ~delta ~timecost config)
+    ~to_rows ~of_rows:(of_rows ~config ~cluster:cluster.Cluster.name)
+    (fun () -> run_config ~delta ~timecost cluster config)
 
 let run_sweep ?(delta = Core.Rats.naive_delta)
     ?(timecost = Core.Rats.naive_timecost) ?(progress = false)
@@ -131,7 +103,7 @@ let run_sweep ?(delta = Core.Rats.naive_delta)
   let outcomes =
     Exec.map_outcome exec
       ~run:(fun config ->
-        let o = run_config_exec ~delta ~timecost ~exec cluster config in
+        let o = run_config_outcome ~delta ~timecost ~exec cluster config in
         Progress.step
           ~cache_hit:(o.Exec.source = Exec.From_cache)
           ~resumed:(o.Exec.source = Exec.From_journal)
@@ -151,9 +123,6 @@ let run_sweep ?(delta = Core.Rats.naive_delta)
       configs outcomes ([], [])
   in
   { results; failed; total = List.length configs }
-
-let run_suite ?delta ?timecost ?progress ?exec scale cluster =
-  (run_sweep ?delta ?timecost ?progress ?exec scale cluster).results
 
 let pp_failures ppf sweep =
   match sweep.failed with

@@ -6,13 +6,15 @@
     total work, the paper's two metrics.
 
     Suites execute through an {!Rats_runtime.Exec} context: deterministic
-    pool ordering (parallel output is identical to serial), a
-    content-addressed result cache, write-ahead journaling for
-    crash-resumable sweeps, and fault-tolerant task execution (bounded
-    retries, per-configuration timeout). Per-configuration results are
-    keyed by (cluster signature, configuration name, algorithm parameters,
-    code version) and round-trip bit-exactly, so re-running a suite after
-    an unrelated change is near-instant.
+    pool ordering (parallel output is identical to serial), and per
+    configuration the context's one per-unit cache path,
+    {!Rats_runtime.Exec.keyed} — result cache, write-ahead journal for
+    crash-resumable sweeps, fault points, bounded retries and timeout.
+    Results are keyed by (cluster signature, configuration name, algorithm
+    parameters, code version) and round-trip bit-exactly through the
+    {!Rats_runtime.Cache} row codec, so re-running a suite after an
+    unrelated change is near-instant. {!run_config} is the uncached
+    primitive.
 
     Failure contract: with a non-strict context a configuration that keeps
     failing after its retries occupies a slot in {!sweep.failed} instead of
@@ -44,7 +46,6 @@ type sweep = { results : result list; failed : failure list; total : int }
 val run_config :
   ?delta:Rats_core.Rats.delta_params ->
   ?timecost:Rats_core.Rats.timecost_params ->
-  ?cache:Rats_runtime.Cache.t ->
   Rats_platform.Cluster.t ->
   Rats_daggen.Suite.config ->
   result
@@ -78,18 +79,6 @@ val run_sweep :
     count. [progress] (default false) reports throughput, ETA, cache-hit
     rate and failure counters on stderr. *)
 
-val run_suite :
-  ?delta:Rats_core.Rats.delta_params ->
-  ?timecost:Rats_core.Rats.timecost_params ->
-  ?progress:bool ->
-  ?exec:Rats_runtime.Exec.t ->
-  Rats_daggen.Suite.scale ->
-  Rats_platform.Cluster.t ->
-  result list
-(** [run_sweep] keeping only the successful results — the historical
-    entry point; callers that must account for failures use
-    {!run_sweep}. *)
-
 val pp_failures : Format.formatter -> sweep -> unit
 (** Prints one line per failed configuration (name + structured error);
     prints nothing when the sweep fully succeeded. *)
@@ -101,3 +90,10 @@ val strategy_measurement :
   measurement
 (** One algorithm on one prepared problem — the primitive {!Tuning} sweeps
     use to avoid re-running the baseline for every parameter value. *)
+
+val scalar_rows : (string * float) list -> Rats_runtime.Cache.row list
+val of_scalar_rows :
+  Rats_runtime.Cache.row list -> (string * float) list option
+(** Payload maps of the (label, value) studies —
+    {!Ablation.purity_study} and {!Autotune.selector_study} — one row per
+    label. *)

@@ -33,29 +33,27 @@ let prepare ?(exec = Exec.make ()) cluster configs =
     configs
   |> Exec.oks
 
-let configs_of_kind scale kind =
-  List.filter (fun c -> Suite.kind c = kind) (Suite.all scale)
-
-let tuning_configs scale kind =
-  let firsts =
-    List.filter (fun c -> c.Suite.sample = 0) (configs_of_kind scale kind)
-  in
+let first_samples ~cap configs =
+  let firsts = List.filter (fun c -> c.Suite.sample = 0) configs in
   let n = List.length firsts in
-  let cap = 24 in
   if n <= cap then firsts
   else
     (* Even thinning keeps the whole shape spectrum represented. *)
     List.filteri (fun i _ -> i * cap / n <> (i - 1) * cap / n) firsts
 
-let average_relative prepared strategy =
-  let ratios =
-    List.map
-      (fun p ->
-        let m = Runner.strategy_measurement ~alloc:p.alloc p.problem strategy in
-        m.Runner.makespan /. p.hcpa_makespan)
-      prepared
-  in
-  Stats.mean (Array.of_list ratios)
+let tuning_configs scale kind =
+  first_samples ~cap:24
+    (List.filter (fun c -> Suite.kind c = kind) (Suite.all scale))
+
+let average_relative ?(map = List.map) prepared select =
+  map
+    (fun p ->
+      let m =
+        Runner.strategy_measurement ~alloc:p.alloc p.problem (select p.problem)
+      in
+      m.Runner.makespan /. p.hcpa_makespan)
+    prepared
+  |> Array.of_list |> Stats.mean
 
 type delta_point = {
   mindelta : float;
@@ -67,24 +65,25 @@ type delta_point = {
    prepared configuration, so points are the coarsest independent unit. A
    failed point is dropped; the figure printers render missing grid points
    as "-". *)
-let sweep_delta ?(exec = Exec.make ()) prepared =
-  let grid =
-    List.concat_map
-      (fun mindelta -> List.map (fun maxdelta -> (mindelta, maxdelta)) maxdelta_values)
-      mindelta_values
-  in
-  Exec.map exec
-    ~name:(fun (mindelta, maxdelta) ->
-      Printf.sprintf "tuning.sweep_delta/min=%g,max=%g" mindelta maxdelta)
-    ~f:(fun (mindelta, maxdelta) ->
-      let strategy = Core.Rats.Delta { mindelta; maxdelta } in
-      {
-        mindelta;
-        maxdelta;
-        avg_relative_makespan = average_relative prepared strategy;
-      })
+let sweep ~exec ~name ~strategy ~point prepared grid =
+  Exec.map exec ~name
+    ~f:(fun x ->
+      point x (average_relative prepared (fun _ -> strategy x)))
     grid
   |> Exec.oks
+
+let sweep_delta ?(exec = Exec.make ()) prepared =
+  List.concat_map
+    (fun mindelta ->
+      List.map (fun maxdelta -> (mindelta, maxdelta)) maxdelta_values)
+    mindelta_values
+  |> sweep ~exec prepared
+       ~name:(fun (mindelta, maxdelta) ->
+         Printf.sprintf "tuning.sweep_delta/min=%g,max=%g" mindelta maxdelta)
+       ~strategy:(fun (mindelta, maxdelta) ->
+         Core.Rats.Delta { mindelta; maxdelta })
+       ~point:(fun (mindelta, maxdelta) avg_relative_makespan ->
+         { mindelta; maxdelta; avg_relative_makespan })
 
 type timecost_point = {
   packing : bool;
@@ -93,99 +92,57 @@ type timecost_point = {
 }
 
 let sweep_timecost ?(exec = Exec.make ()) prepared =
-  let grid =
-    List.concat_map
-      (fun packing -> List.map (fun minrho -> (packing, minrho)) minrho_values)
-      [ false; true ]
-  in
-  Exec.map exec
-    ~name:(fun (packing, minrho) ->
-      Printf.sprintf "tuning.sweep_timecost/packing=%b,rho=%g" packing minrho)
-    ~f:(fun (packing, minrho) ->
-      let strategy = Core.Rats.Timecost { minrho; packing } in
-      {
-        packing;
-        minrho;
-        avg_relative_makespan = average_relative prepared strategy;
-      })
-    grid
-  |> Exec.oks
+  List.concat_map
+    (fun packing -> List.map (fun minrho -> (packing, minrho)) minrho_values)
+    [ false; true ]
+  |> sweep ~exec prepared
+       ~name:(fun (packing, minrho) ->
+         Printf.sprintf "tuning.sweep_timecost/packing=%b,rho=%g" packing
+           minrho)
+       ~strategy:(fun (packing, minrho) ->
+         Core.Rats.Timecost { minrho; packing })
+       ~point:(fun (packing, minrho) avg_relative_makespan ->
+         { packing; minrho; avg_relative_makespan })
 
-(* Cached whole-sweep variants: the full point list of a (cluster,
-   configuration set) sweep is one cache entry, so a warm Figure 4/5
-   regeneration skips prepare and every grid replay. *)
-
-let sweep_key sweep cluster configs =
+(* Whole-sweep cache entries: a (cluster, configuration set) sweep is one
+   entry, so a warm Figure 4/5 regeneration skips prepare and every grid
+   replay. A key covers everything a grid aggregate depends on: the
+   cluster, the configuration set and all three grids. *)
+let grid_key label cluster configs =
   Cache.key
-    ([
-       "tuning." ^ sweep;
-       Cluster.signature cluster;
-       String.concat "," (List.map (fun v -> Printf.sprintf "%h" v) mindelta_values);
-       String.concat "," (List.map (fun v -> Printf.sprintf "%h" v) maxdelta_values);
-       String.concat "," (List.map (fun v -> Printf.sprintf "%h" v) minrho_values);
-     ]
+    ((label :: Cluster.signature cluster
+     :: List.map
+          (fun values ->
+            String.concat "," (List.map (Printf.sprintf "%h") values))
+          [ mindelta_values; maxdelta_values; minrho_values ])
     @ List.map Suite.name configs)
 
-(* Whole-sweep entries aggregate many units of work, so a sweep computed
-   while tasks were failing must not be stored: a later warm run would
-   replay the degraded averages as if they were complete. *)
-let computed_cleanly = Exec.computed_cleanly
-
-let cached_points ~exec ~sweep ~encode ~decode cluster configs compute =
-  match exec.Exec.cache with
-  | None -> compute ()
-  | Some c -> (
-      let key = sweep_key sweep cluster configs in
-      let decode_all payload =
-        let points = List.map decode (String.split_on_char '\n' payload) in
-        if points <> [] && List.for_all Option.is_some points then
-          Some (List.filter_map Fun.id points)
-        else None
-      in
-      match Option.bind (Cache.find c key) decode_all with
-      | Some points -> points
-      | None ->
-          let points, clean = computed_cleanly exec compute in
-          if clean then
-            Cache.store c key (String.concat "\n" (List.map encode points));
-          points)
-
 let sweep_delta_for ?(exec = Exec.make ()) cluster configs =
-  cached_points ~exec ~sweep:"sweep_delta"
-    ~encode:(fun (p : delta_point) ->
-      Printf.sprintf "%h %h %h" p.mindelta p.maxdelta p.avg_relative_makespan)
-    ~decode:(fun line ->
-      match String.split_on_char ' ' line with
-      | [ a; b; c ] -> (
-          try
-            Some
-              {
-                mindelta = float_of_string a;
-                maxdelta = float_of_string b;
-                avg_relative_makespan = float_of_string c;
-              }
-          with Failure _ -> None)
-      | _ -> None)
-    cluster configs
+  Exec.memo exec
+    ~key:(grid_key "tuning.sweep_delta" cluster configs)
+    ~to_rows:
+      (List.map (fun (p : delta_point) ->
+           ("", [ p.mindelta; p.maxdelta; p.avg_relative_makespan ])))
+    ~of_rows:
+      (Cache.map_rows (function
+        | _, [ mindelta; maxdelta; avg_relative_makespan ] ->
+            Some { mindelta; maxdelta; avg_relative_makespan }
+        | _ -> None))
     (fun () -> sweep_delta ~exec (prepare ~exec cluster configs))
 
 let sweep_timecost_for ?(exec = Exec.make ()) cluster configs =
-  cached_points ~exec ~sweep:"sweep_timecost"
-    ~encode:(fun (p : timecost_point) ->
-      Printf.sprintf "%b %h %h" p.packing p.minrho p.avg_relative_makespan)
-    ~decode:(fun line ->
-      match String.split_on_char ' ' line with
-      | [ a; b; c ] -> (
-          try
-            Some
-              {
-                packing = bool_of_string a;
-                minrho = float_of_string b;
-                avg_relative_makespan = float_of_string c;
-              }
-          with Failure _ | Invalid_argument _ -> None)
-      | _ -> None)
-    cluster configs
+  Exec.memo exec
+    ~key:(grid_key "tuning.sweep_timecost" cluster configs)
+    ~to_rows:
+      (List.map (fun (p : timecost_point) ->
+           (string_of_bool p.packing, [ p.minrho; p.avg_relative_makespan ])))
+    ~of_rows:
+      (Cache.map_rows (function
+        | packing, [ minrho; avg_relative_makespan ] ->
+            Option.map
+              (fun packing -> { packing; minrho; avg_relative_makespan })
+              (bool_of_string_opt packing)
+        | _ -> None))
     (fun () -> sweep_timecost ~exec (prepare ~exec cluster configs))
 
 type tuned = { delta : Core.Rats.delta_params; minrho : float }
@@ -220,55 +177,22 @@ let best delta_points timecost_points =
 let kinds : Suite.app_kind list = [ `Fft; `Strassen; `Layered; `Irregular ]
 
 (* One cache entry per (cluster, kind) cell of Table IV; a hit skips the
-   whole prepare + sweep pipeline for that cell. The key covers everything
-   the tuned values depend on: cluster, configuration set, and both grids. *)
-let tuned_key cluster kind configs =
-  Cache.key
-    ([
-       "tuning.table4";
-       Cluster.signature cluster;
-       Suite.kind_name kind;
-       String.concat "," (List.map (fun v -> Printf.sprintf "%h" v) mindelta_values);
-       String.concat "," (List.map (fun v -> Printf.sprintf "%h" v) maxdelta_values);
-       String.concat "," (List.map (fun v -> Printf.sprintf "%h" v) minrho_values);
-     ]
-    @ List.map Suite.name configs)
-
-let encode_tuned t =
-  Printf.sprintf "%h %h %h" t.delta.Core.Rats.mindelta
-    t.delta.Core.Rats.maxdelta t.minrho
-
-let decode_tuned payload =
-  match String.split_on_char ' ' payload with
-  | [ a; b; c ] -> (
-      try
-        Some
-          {
-            delta =
-              {
-                Core.Rats.mindelta = float_of_string a;
-                maxdelta = float_of_string b;
-              };
-            minrho = float_of_string c;
-          }
-      with Failure _ -> None)
-  | _ -> None
-
+   whole prepare + sweep pipeline for that cell. *)
 let tune_cell ?(exec = Exec.make ()) cluster kind configs =
-  let compute () =
-    let prepared = prepare ~exec cluster configs in
-    best (sweep_delta ~exec prepared) (sweep_timecost ~exec prepared)
-  in
-  match exec.Exec.cache with
-  | None -> compute ()
-  | Some cache -> (
-      let key = tuned_key cluster kind configs in
-      match Option.bind (Cache.find cache key) decode_tuned with
-      | Some tuned -> tuned
-      | None ->
-          let tuned, clean = computed_cleanly exec compute in
-          if clean then Cache.store cache key (encode_tuned tuned);
-          tuned)
+  Exec.memo exec
+    ~key:(grid_key ("tuning.table4/" ^ Suite.kind_name kind) cluster configs)
+    ~to_rows:(fun t ->
+      [
+        ("delta", [ t.delta.Core.Rats.mindelta; t.delta.Core.Rats.maxdelta ]);
+        ("minrho", [ t.minrho ]);
+      ])
+    ~of_rows:(function
+      | [ ("delta", [ mindelta; maxdelta ]); ("minrho", [ minrho ]) ] ->
+          Some { delta = { Core.Rats.mindelta; maxdelta }; minrho }
+      | _ -> None)
+    (fun () ->
+      let prepared = prepare ~exec cluster configs in
+      best (sweep_delta ~exec prepared) (sweep_timecost ~exec prepared))
 
 let table4 ?exec scale =
   List.map

@@ -8,9 +8,11 @@
     All entry points take an optional {!Rats_runtime.Exec} context
     (default: plain serial execution, no cache, no faults). Under fault
     injection a failed configuration or grid point is dropped from the
-    averages — counted in [exec.stats], reported by the CLIs — and a sweep
-    that lost any unit is never stored as a whole-sweep cache entry, so
-    degraded data cannot be replayed as complete on a later warm run. *)
+    averages — counted in [exec.stats], reported by the CLIs. The
+    whole-sweep entry points ({!sweep_delta_for}, {!sweep_timecost_for},
+    {!table4}'s cells) cache through {!Rats_runtime.Exec.memo}, which never
+    stores a sweep that lost a unit, so degraded data cannot be replayed
+    as complete on a later warm run. *)
 
 val mindelta_values : float list
 (** {0, −0.25, −0.5, −0.75} — 0 disables packing. *)
@@ -21,8 +23,12 @@ val maxdelta_values : float list
 val minrho_values : float list
 (** {0.2, 0.4, 0.5, 0.6, 0.8, 1}. *)
 
-type prepared
-(** A configuration ready for sweeping (problem + allocation + baseline). *)
+type prepared = {
+  problem : Rats_core.Problem.t;
+  alloc : int array;  (** HCPA allocation. *)
+  hcpa_makespan : float;  (** Simulated HCPA baseline. *)
+}
+(** A configuration ready for sweeping. *)
 
 val prepare :
   ?exec:Rats_runtime.Exec.t ->
@@ -30,21 +36,23 @@ val prepare :
 (** DAG generation + HCPA allocation + baseline simulation per
     configuration, on the context's worker pool. *)
 
-val average_relative : prepared list -> Rats_core.Rats.strategy -> float
-(** Mean over the prepared configurations of (strategy makespan / HCPA
-    makespan). *)
+val average_relative :
+  ?map:((prepared -> float) -> prepared list -> float list) ->
+  prepared list -> (Rats_core.Problem.t -> Rats_core.Rats.strategy) -> float
+(** Mean over the prepared configurations of (makespan of the strategy
+    chosen for each problem / HCPA makespan). [map] (default [List.map])
+    runs the per-configuration replays, e.g. on a worker pool. *)
 
-val configs_of_kind :
-  Rats_daggen.Suite.scale -> Rats_daggen.Suite.app_kind ->
-  Rats_daggen.Suite.config list
+val first_samples :
+  cap:int -> Rats_daggen.Suite.config list -> Rats_daggen.Suite.config list
+(** The first-sample configurations, evenly thinned to at most [cap]:
+    bounds a study's cost while covering every shape. *)
 
 val tuning_configs :
   Rats_daggen.Suite.scale -> Rats_daggen.Suite.app_kind ->
   Rats_daggen.Suite.config list
-(** Subsample used by {!table4}: first-sample configurations only, evenly
-    thinned to at most 24 per kind — the sweeps visit every grid point for
-    every configuration, so this bounds the tuning cost while covering all
-    shapes. *)
+(** Subsample used by {!table4}: {!first_samples} of one kind, at most 24 —
+    the sweeps visit every grid point for every configuration. *)
 
 type delta_point = {
   mindelta : float;
@@ -79,6 +87,12 @@ val sweep_timecost_for :
   Rats_platform.Cluster.t -> Rats_daggen.Suite.config list ->
   timecost_point list
 (** [prepare] + {!sweep_timecost} as one cache entry (Figure 5). *)
+
+val grid_key :
+  string -> Rats_platform.Cluster.t -> Rats_daggen.Suite.config list -> string
+(** [grid_key label cluster configs] is the {!Rats_runtime.Cache.key} of a
+    grid aggregate: the label, cluster signature, the three grids and the
+    configuration names. *)
 
 type tuned = { delta : Rats_core.Rats.delta_params; minrho : float }
 

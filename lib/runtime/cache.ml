@@ -9,11 +9,13 @@ type t = {
   quarantined : int Atomic.t;
 }
 
-(* v3: the engine's incremental max-min solver water-fills per connected
-   component, shifting fair rates (and thus some makespans) by rounding
-   ulps relative to the old whole-set solve. v2: receiver-rank placement
-   now falls back to natural order when greedy keeps fewer bytes local. *)
-let version = "rats-runtime-3"
+(* v4: every payload is an {!encode_rows} row list (nine per-module
+   formats before). v3: the engine's incremental max-min solver
+   water-fills per connected component, shifting fair rates (and thus some
+   makespans) by rounding ulps relative to the old whole-set solve. v2:
+   receiver-rank placement now falls back to natural order when greedy
+   keeps fewer bytes local. *)
+let version = "rats-runtime-4"
 
 let default_dir = Filename.concat "bench_results" ".cache"
 
@@ -57,6 +59,70 @@ let key parts =
       Buffer.add_string buf p)
     (version :: parts);
   Digest.to_hex (Digest.string (Buffer.contents buf))
+
+type row = string * float list
+
+(* "%h" round-trips every float bit-exactly except NaN, whose sign and
+   payload it drops; NaN travels as its bit pattern instead. *)
+let float_token v =
+  if Float.is_nan v then Printf.sprintf "nan:%Lx" (Int64.bits_of_float v)
+  else Printf.sprintf "%h" v
+
+let float_of_token tok =
+  if String.starts_with ~prefix:"nan:" tok then
+    let hex = String.sub tok 4 (String.length tok - 4) in
+    match Int64.of_string_opt ("0x" ^ hex) with
+    | Some bits when Float.is_nan (Int64.float_of_bits bits) ->
+        Some (Int64.float_of_bits bits)
+    | _ -> None
+  else
+    match float_of_string_opt tok with
+    | Some v when not (Float.is_nan v) -> Some v
+    | _ -> None
+
+(* Layout: the row count, then one line per row — the label and its
+   values, tab-separated — each line newline-terminated. The count and the
+   final newline make every strict prefix of a payload malformed. *)
+let encode_rows rows =
+  let buf = Buffer.create 256 in
+  Buffer.add_string buf (string_of_int (List.length rows));
+  Buffer.add_char buf '\n';
+  List.iter
+    (fun (label, values) ->
+      if String.contains label '\t' || String.contains label '\n' then
+        invalid_arg ("Cache.encode_rows: label " ^ String.escaped label);
+      Buffer.add_string buf label;
+      List.iter
+        (fun v ->
+          Buffer.add_char buf '\t';
+          Buffer.add_string buf (float_token v))
+        values;
+      Buffer.add_char buf '\n')
+    rows;
+  Buffer.contents buf
+
+let map_rows f rows =
+  let mapped = List.map f rows in
+  if List.for_all Option.is_some mapped then
+    Some (List.filter_map Fun.id mapped)
+  else None
+
+let decode_rows payload =
+  match String.split_on_char '\n' payload with
+  | count :: lines -> (
+      match (int_of_string_opt count, List.rev lines) with
+      | Some n, "" :: rev_rows when List.length rev_rows = n ->
+          map_rows
+            (fun line ->
+              match String.split_on_char '\t' line with
+              | label :: tokens ->
+                  Option.map
+                    (fun values -> (label, values))
+                    (map_rows float_of_token tokens)
+              | [] -> None)
+            (List.rev rev_rows)
+      | _ -> None)
+  | [] -> None
 
 let path t key = Filename.concat t.dir (key ^ ".cache")
 

@@ -4,8 +4,10 @@
     suite configuration, cluster signature, algorithm parameters — plus
     {!version}, a code-version salt bumped whenever the scheduling or
     simulation semantics change, so stale results can never be replayed
-    across a semantic change. Values are opaque strings; callers serialize
-    (the experiment layer uses ["%h"] hex floats for bit-exact round-trips).
+    across a semantic change. Payloads are strings; {!Exec} writes every
+    one through the row codec below ({!encode_rows}: labelled lines of
+    ["%h"] floats), so results round-trip bit-exactly and a malformed entry
+    reads as a miss.
 
     Writes are atomic (unique temp file in the cache directory + [rename]),
     so a crashed or concurrent run can never expose a half-written entry.
@@ -52,6 +54,24 @@ val store : t -> string -> string -> unit
 (** [store t key payload] atomically persists the entry. I/O errors are
     swallowed (and the temp file removed) — the cache is an accelerator,
     never a correctness dependency. *)
+
+(** {2 Payload codec} *)
+
+type row = string * float list
+(** One payload line: a label and its values. *)
+
+val encode_rows : row list -> string
+(** Bit-exact text form of the rows: the row count, then one line per row,
+    its label followed by ["%h"] floats (NaN by bit pattern), tab-separated.
+    Raises [Invalid_argument] when a label contains a tab or a newline. *)
+
+val decode_rows : string -> row list option
+(** Inverse of {!encode_rows}; [None] on malformed or truncated input (any
+    strict prefix of an encoding is malformed). *)
+
+val map_rows : (row -> 'a option) -> row list -> 'a list option
+(** [Some] of every row's image when [f] accepts them all, [None] when it
+    rejects any — the of-rows map of list-shaped payloads. *)
 
 val path : t -> string -> string
 (** On-disk location of a key's entry (exposed for tests and tooling). *)

@@ -94,11 +94,13 @@ let run_task t ~name f =
   | Ok _ -> ());
   { source = Computed; attempts; value }
 
-let keyed t ~name ~key ~encode ~decode f =
+let decoded of_rows payload = Option.bind (Cache.decode_rows payload) of_rows
+
+let keyed t ~name ~key ~to_rows ~of_rows f =
   let cached =
     match t.cache with
     | None -> None
-    | Some c -> Option.bind (Cache.find c key) decode
+    | Some c -> Option.bind (Cache.find c key) (decoded of_rows)
   in
   match cached with
   | Some v -> { source = From_cache; attempts = 1; value = Ok v }
@@ -106,7 +108,7 @@ let keyed t ~name ~key ~encode ~decode f =
       let journaled =
         match t.journal with
         | None -> None
-        | Some j -> Option.bind (Journal.find j key) decode
+        | Some j -> Option.bind (Journal.find j key) (decoded of_rows)
       in
       match journaled with
       | Some v ->
@@ -116,17 +118,34 @@ let keyed t ~name ~key ~encode ~decode f =
             ~args:(fun () -> [ ("task", name) ])
             "exec:resumed";
           (* Promote into the cache so the next run hits the fast path. *)
-          Option.iter (fun c -> Cache.store c key (encode v)) t.cache;
+          Option.iter
+            (fun c -> Cache.store c key (Cache.encode_rows (to_rows v)))
+            t.cache;
           { source = From_journal; attempts = 1; value = Ok v }
       | None ->
           let outcome = run_task t ~name f in
           (match outcome.value with
           | Ok v ->
-              let payload = encode v in
+              let payload = Cache.encode_rows (to_rows v) in
               Option.iter (fun c -> Cache.store c key payload) t.cache;
               Option.iter (fun j -> Journal.append j ~key payload) t.journal
           | Error _ -> ());
           outcome)
+
+let memo t ~key ~to_rows ~of_rows f =
+  match t.cache with
+  | None -> f ()
+  | Some c -> (
+      match Option.bind (Cache.find c key) (decoded of_rows) with
+      | Some v -> v
+      | None ->
+          (* An aggregate computed while units were failing holds degraded
+             averages; storing it would replay them as complete. *)
+          let failed_before = Atomic.get t.stats.failed in
+          let v = f () in
+          if Atomic.get t.stats.failed = failed_before then
+            Cache.store c key (Cache.encode_rows (to_rows v));
+          v)
 
 let map t ~name ~f l =
   if t.strict then
@@ -191,11 +210,6 @@ let map_outcome t ~run l =
                      });
             })
       (Pool.map_result ~jobs:t.jobs run l)
-
-let computed_cleanly t f =
-  let before = Atomic.get t.stats.failed in
-  let v = f () in
-  (v, Atomic.get t.stats.failed = before)
 
 let oks l = List.filter_map (function Ok v -> Some v | Error _ -> None) l
 

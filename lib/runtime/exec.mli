@@ -7,6 +7,11 @@
     no retries, no journal, non-strict) makes every combinator an ordinary
     call — the happy path is unchanged.
 
+    Results reach the cache through exactly two entry points: {!keyed} for
+    one unit of work and {!memo} for an aggregate over many units. Both
+    persist through {!Cache.encode_rows}, so callers supply only a key and
+    a pair of to-rows/of-rows maps.
+
     Failure contract: in the default (non-strict) mode a task that keeps
     failing after its retries becomes a structured {!Retry.failure} in its
     own result slot; the sweep completes and the caller reports the
@@ -71,21 +76,40 @@ val run_task : t -> name:string -> (unit -> 'a) -> 'a outcome
     {!stats}. In strict mode a final failure raises {!Task_failed}
     instead. *)
 
+(** {2 Cached execution}
+
+    The only two cache paths. Both persist values through the {!Cache} row
+    codec: [to_rows] maps a value to rows, [of_rows] maps rows back and
+    returns [None] for a shape it does not recognise, which counts as a
+    miss. Keys are expected to come from {!Cache.key}. *)
+
 val keyed :
   t ->
   name:string ->
   key:string ->
-  encode:('a -> string) ->
-  decode:(string -> 'a option) ->
+  to_rows:('a -> Cache.row list) ->
+  of_rows:(Cache.row list -> 'a option) ->
   (unit -> 'a) ->
   'a outcome
-(** {!run_task} behind the two persistence layers: a cache hit returns
-    [From_cache]; otherwise a journal hit (a completed result of the
-    interrupted run being resumed) returns [From_journal], counts toward
-    [stats.resumed] and is promoted into the cache; otherwise the task is
-    computed and, on success, stored in the cache and appended to the
-    journal before returning. Keys are expected to come from
-    {!Cache.key}. *)
+(** One unit of work: {!run_task} behind the two persistence layers. A
+    cache hit returns [From_cache]; otherwise a journal hit (a completed
+    result of the interrupted run being resumed) returns [From_journal],
+    counts toward [stats.resumed] and is promoted into the cache; otherwise
+    the task is computed and, on success, stored in the cache and appended
+    to the journal before returning. *)
+
+val memo :
+  t ->
+  key:string ->
+  to_rows:('a -> Cache.row list) ->
+  of_rows:(Cache.row list -> 'a option) ->
+  (unit -> 'a) ->
+  'a
+(** An aggregate over many units (a whole sweep or study): a cache hit
+    returns the stored value; otherwise the computation runs — its units
+    carry their own fault points and retries — and its value is stored
+    only if no unit failed meanwhile, so a later warm run never replays
+    degraded averages as complete. Without a cache it is a plain call. *)
 
 val map :
   t ->
@@ -104,12 +128,6 @@ val map_outcome : t -> run:('a -> 'b outcome) -> 'a list -> 'b outcome list
     cache/journal provenance of each slot). Output order matches input
     order for every worker count. In non-strict mode an exception escaping
     [run] itself is captured as a [Crashed] failure in its slot. *)
-
-val computed_cleanly : t -> (unit -> 'a) -> 'a * bool
-(** [computed_cleanly t f] runs [f] and reports whether it finished without
-    any new task failure in [t.stats]. Aggregate cache entries (whole-sweep
-    or whole-study payloads) must only be stored when clean — otherwise a
-    later warm run would replay degraded averages as if complete. *)
 
 val oks : ('b, 'e) result list -> 'b list
 

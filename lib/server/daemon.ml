@@ -127,29 +127,38 @@ let flush d c =
 
 let send d c msg =
   if c.alive then
+    let enqueue () =
+      let frame = Protocol.to_frame (Protocol.server_to_json msg) in
+      Queue.add frame c.outq;
+      c.out_pending <- c.out_pending + String.length frame;
+      d.backlog <- d.backlog + String.length frame;
+      write_out d c
+    in
+    let over_budget () =
+      evict d c
+        (Printf.sprintf "%d bytes of output buffered, budget %d" c.out_pending
+           d.client_buffer)
+    in
     match msg with
     | Protocol.Event _ when d.degraded ->
         (* Shed streamed events first: watchers are best-effort, command
            replies are not. *)
         d.n_shed <- d.n_shed + 1;
         Metrics.incr Instr.server_events_shed
-    | _ -> (
-        let frame = Protocol.to_frame (Protocol.server_to_json msg) in
-        Queue.add frame c.outq;
-        c.out_pending <- c.out_pending + String.length frame;
-        d.backlog <- d.backlog + String.length frame;
-        write_out d c;
-        (* The per-client budget polices the unsolicited event stream: a
-           watcher that stops reading gets evicted. Replies the client
-           asked for (even a large Log) may exceed the budget — the client
-           is about to read them, and the global backlog limit still
-           bounds the total. *)
-        match msg with
-        | Protocol.Event _ when c.out_pending > d.client_buffer ->
-            evict d c
-              (Printf.sprintf "%d bytes of output buffered, budget %d"
-                 c.out_pending d.client_buffer)
-        | _ -> update_degraded d)
+    | Protocol.Event _ ->
+        (* A watcher that stops reading is evicted once its stream
+           overflows the per-client budget. *)
+        enqueue ();
+        if c.out_pending > d.client_buffer then over_budget ()
+        else update_degraded d
+    | _ when c.out_pending > d.client_buffer ->
+        (* A client that keeps asking but stops reading: its replies are
+           policed on what it left unread before this one, so a single
+           reply larger than the budget (a Log) still goes through. *)
+        over_budget ()
+    | _ ->
+        enqueue ();
+        update_degraded d
 
 let create ?fault ?journal ~client_buffer ~backlog_limit engine =
   let d =

@@ -12,9 +12,11 @@
 
     {b Output.} Every reply and event is framed and queued on its client;
     {!flush} writes as much as the transport takes and keeps the rest.
-    A watcher whose unwritten output exceeds [client_buffer] bytes after
-    an event is evicted; replies the client asked for are never policed by
-    that budget. When the output buffered across all clients exceeds
+    A client whose unwritten output exceeds [client_buffer] bytes is
+    evicted: a watcher once an event pushes it over, a client that keeps
+    asking when its new reply would join output it already left unread
+    past the budget — so one reply larger than the budget (a [Log]) still
+    goes through. When the output buffered across all clients exceeds
     [backlog_limit] the daemon is degraded: it sheds [Event] frames and
     refuses [Watch] and [Log] until the backlog falls below half the
     limit.

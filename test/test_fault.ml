@@ -312,9 +312,10 @@ let test_resume_bit_identical () =
   with_dir (fun dir ->
       let keys = List.init 10 (fun i -> Printf.sprintf "key-%d" i) in
       let compute k = sqrt (float_of_int (Hashtbl.hash k land 0xFFFF)) in
-      let encode = Printf.sprintf "%h" and decode = float_of_string_opt in
+      let to_rows v = [ ("", [ v ]) ] in
+      let of_rows = function [ (_, [ v ]) ] -> Some v | _ -> None in
       let run_keyed exec k =
-        Exec.keyed exec ~name:k ~key:k ~encode ~decode (fun () -> compute k)
+        Exec.keyed exec ~name:k ~key:k ~to_rows ~of_rows (fun () -> compute k)
       in
       (* Clean reference run, no persistence. *)
       let reference =

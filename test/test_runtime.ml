@@ -1,11 +1,16 @@
 (* Tests for rats_runtime: pool determinism, cache round-trip/keying/
-   corruption recovery, and the qcheck order-preservation property. *)
+   corruption recovery, the payload row codec, the aggregate cache path
+   ([Exec.memo]) and the qcheck order-preservation property. *)
 
 module Suite = Rats_daggen.Suite
 module Cluster = Rats_platform.Cluster
 module Runner = Rats_exp.Runner
+module Tuning = Rats_exp.Tuning
+module Ablation = Rats_exp.Ablation
 module Pool = Rats_runtime.Pool
 module Cache = Rats_runtime.Cache
+module Exec = Rats_runtime.Exec
+module Fault = Rats_runtime.Fault
 
 let check = Alcotest.check
 
@@ -187,11 +192,211 @@ let test_cache_runner_integration () =
   with_cache (fun cache ->
       let config = { Suite.spec = Suite.Fft { k = 2 }; sample = 0 } in
       let fresh = Runner.run_config Cluster.chti config in
-      let stored = Runner.run_config ~cache Cluster.chti config in
-      let replayed = Runner.run_config ~cache Cluster.chti config in
-      check Alcotest.bool "cached result identical" true (fresh = stored);
-      check Alcotest.bool "replayed result identical" true (fresh = replayed);
+      let exec = Exec.make ~jobs:1 ~cache () in
+      let run () = Runner.run_config_outcome ~exec Cluster.chti config in
+      let stored = run () in
+      let replayed = run () in
+      check Alcotest.bool "first run computed" true
+        (stored.Exec.source = Exec.Computed);
+      check Alcotest.bool "second run from the cache" true
+        (replayed.Exec.source = Exec.From_cache);
+      check Alcotest.bool "cached result identical" true
+        (stored.Exec.value = Ok fresh);
+      check Alcotest.bool "replayed result identical" true
+        (replayed.Exec.value = Ok fresh);
       check Alcotest.int "second lookup hit" 1 (Cache.hits cache))
+
+(* --- payload codec ------------------------------------------------------- *)
+
+let bits = List.map Int64.bits_of_float
+
+let rows_bits rows = List.map (fun (label, values) -> (label, bits values)) rows
+
+let rows_testable = Alcotest.(option (list (pair string (list int64))))
+
+let specials =
+  [
+    Float.nan;
+    Int64.float_of_bits 0xFFF8_0000_0000_0000L (* negative quiet NaN *);
+    Int64.float_of_bits 0x7FF0_0000_0000_0001L (* signalling NaN *);
+    Float.infinity;
+    Float.neg_infinity;
+    -0.;
+    0.;
+    4.9e-324 (* smallest subnormal *);
+    -2.2250738585072009e-308 (* largest negative subnormal *);
+    Float.max_float;
+    Float.min_float;
+  ]
+
+let gen_float =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, oneofl specials);
+        (3, map Int64.float_of_bits ui64);
+        (3, float);
+      ])
+
+(* Any byte but the two separators. *)
+let gen_label =
+  QCheck.Gen.(
+    string_size ~gen:(map Char.chr (int_range 0 255)) (int_range 0 6)
+    |> map (String.map (function '\t' | '\n' -> ' ' | c -> c)))
+
+let arb_rows =
+  QCheck.make
+    ~print:(fun rows -> String.escaped (Cache.encode_rows rows))
+    QCheck.Gen.(
+      list_size (int_range 0 5)
+        (pair gen_label (list_size (int_range 0 4) gen_float)))
+
+let prop_codec_roundtrip =
+  QCheck.Test.make ~count:300
+    ~name:"row codec round-trips bit-exactly; every strict prefix is None"
+    arb_rows (fun rows ->
+      let payload = Cache.encode_rows rows in
+      let decoded = Cache.decode_rows payload in
+      Option.map rows_bits decoded = Some (rows_bits rows)
+      && List.for_all
+           (fun len -> Cache.decode_rows (String.sub payload 0 len) = None)
+           (List.init (String.length payload) Fun.id))
+
+let test_codec_malformed () =
+  List.iter
+    (fun payload ->
+      check rows_testable (String.escaped payload) None
+        (Option.map rows_bits (Cache.decode_rows payload)))
+    [
+      "";
+      "x";
+      "1\n";
+      "2\na\t0x1p+0\n";
+      "0\nextra\n";
+      "1\na\t0x1p+0";
+      "1\na\tnot-a-float\n";
+      "1\na\t0x1p+0\t\n";
+      "1\na\tnan\n";
+      "1\na\tnan:0\n";
+      "1\na\tnan:zz\n";
+      "-1\n";
+    ];
+  check rows_testable "empty payload list" (Some [])
+    (Option.map rows_bits (Cache.decode_rows (Cache.encode_rows [])));
+  List.iter
+    (fun label ->
+      match Cache.encode_rows [ (label, [ 1. ]) ] with
+      | _ -> Alcotest.failf "label %S accepted" label
+      | exception Invalid_argument _ -> ())
+    [ "a\tb"; "a\nb"; "\n" ]
+
+(* --- aggregate cache path (Exec.memo) ------------------------------------ *)
+
+let tiny_configs =
+  [
+    { Suite.spec = Suite.Fft { k = 2 }; sample = 0 };
+    { Suite.spec = Suite.Strassen; sample = 1 };
+  ]
+
+let delta_bits points =
+  List.concat_map
+    (fun (p : Tuning.delta_point) ->
+      bits
+        [
+          p.Tuning.mindelta; p.Tuning.maxdelta; p.Tuning.avg_relative_makespan;
+        ])
+    points
+
+let ratio_bits rows =
+  List.map
+    (fun (r : Ablation.ratio_row) ->
+      (r.Ablation.label, bits [ r.Ablation.mean_ratio; r.Ablation.max_ratio ]))
+    rows
+
+let fault spec =
+  match Fault.parse spec with
+  | Ok f -> f
+  | Error e -> Alcotest.failf "fault spec %S: %s" spec e
+
+let exec_on ?fault cache = Exec.make ~jobs:1 ?fault ~cache ()
+let sweep exec = Tuning.sweep_delta_for ~exec Cluster.chti tiny_configs
+let placement exec = Ablation.placement_study ~exec Cluster.chti tiny_configs
+
+let test_memo_cold_warm () =
+  with_cache (fun cache ->
+      let cold = exec_on cache in
+      let cold_sweep = sweep cold and cold_rows = placement cold in
+      check Alcotest.int "cold: two misses" 2 (Cache.misses cache);
+      check Alcotest.int "cold: no hit" 0 (Cache.hits cache);
+      Cache.reset_counters cache;
+      (* Every unit would crash: a warm run must not run any. *)
+      let warm = exec_on ~fault:(fault "crash@worker=1") cache in
+      let warm_sweep = sweep warm and warm_rows = placement warm in
+      check Alcotest.int "warm: no miss" 0 (Cache.misses cache);
+      check Alcotest.int "warm: two hits" 2 (Cache.hits cache);
+      check Alcotest.int "warm: no unit ran" 0
+        (Atomic.get warm.Exec.stats.Exec.failed);
+      check Alcotest.(list int64) "sweep bit-equal" (delta_bits cold_sweep)
+        (delta_bits warm_sweep);
+      check
+        Alcotest.(list (pair string (list int64)))
+        "study bit-equal" (ratio_bits cold_rows) (ratio_bits warm_rows))
+
+let test_memo_skips_failed_units () =
+  with_cache (fun cache ->
+      let faulty = exec_on ~fault:(fault "seed=1,crash@worker=0.2") cache in
+      ignore (sweep faulty);
+      check Alcotest.bool "some unit failed" true
+        (Atomic.get faulty.Exec.stats.Exec.failed > 0);
+      Cache.reset_counters cache;
+      let clean = sweep (exec_on cache) in
+      check Alcotest.int "clean run misses" 1 (Cache.misses cache);
+      check Alcotest.int "grid complete" 20 (List.length clean);
+      Cache.reset_counters cache;
+      let warm = sweep (exec_on cache) in
+      check Alcotest.int "clean result stored" 1 (Cache.hits cache);
+      check Alcotest.(list int64) "replayed bit-equal" (delta_bits clean)
+        (delta_bits warm))
+
+(* The entry file of the one aggregate a run cached. *)
+let only_entry cache =
+  let dir = Filename.dirname (Cache.path cache "x") in
+  match
+    List.filter
+      (fun f -> Filename.check_suffix f ".cache")
+      (List.sort String.compare (Array.to_list (Sys.readdir dir)))
+  with
+  | [ f ] -> Filename.concat dir f
+  | files -> Alcotest.failf "%d cache entries" (List.length files)
+
+let test_memo_corrupt_payload_recomputed () =
+  with_cache (fun cache ->
+      let cold = ratio_bits (placement (exec_on cache)) in
+      let file = only_entry cache in
+      let key = Filename.remove_extension (Filename.basename file) in
+      let recovers what =
+        Cache.reset_counters cache;
+        check
+          Alcotest.(list (pair string (list int64)))
+          (what ^ ": recomputed bit-equal") cold
+          (ratio_bits (placement (exec_on cache)));
+        Cache.reset_counters cache;
+        ignore (placement (exec_on cache));
+        check Alcotest.int (what ^ ": rewritten entry hits") 1
+          (Cache.hits cache)
+      in
+      (* A well-formed entry whose payload is not a row list. *)
+      Cache.store cache key "0x1p+0 0x1p+1";
+      recovers "undecodable payload";
+      (* A torn file: checksum mismatch, quarantined. *)
+      let oc = open_out_bin file in
+      output_string oc "garbage";
+      close_out oc;
+      recovers "torn entry";
+      check Alcotest.bool "torn entry quarantined" true
+        (Sys.file_exists
+           (Filename.concat (Cache.quarantine_dir cache)
+              (Filename.basename file))))
 
 (* --- qcheck -------------------------------------------------------------- *)
 
@@ -229,6 +434,20 @@ let () =
             test_cache_unwritable_dir;
           Alcotest.test_case "runner integration" `Quick
             test_cache_runner_integration;
+        ] );
+      ( "codec",
+        [
+          Alcotest.test_case "malformed payloads" `Quick test_codec_malformed;
+          Rats_test_support.Seeded.to_alcotest prop_codec_roundtrip;
+        ] );
+      ( "aggregate",
+        [
+          Alcotest.test_case "cold then warm bit-equal" `Quick
+            test_memo_cold_warm;
+          Alcotest.test_case "failed unit not stored" `Quick
+            test_memo_skips_failed_units;
+          Alcotest.test_case "corrupt payload recomputed" `Quick
+            test_memo_corrupt_payload_recomputed;
         ] );
       ( "properties",
         [ Rats_test_support.Seeded.to_alcotest prop_pool_map_order ] );

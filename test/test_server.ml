@@ -963,10 +963,37 @@ let stalled_pinger d n =
   say d c (List.init n (fun _ -> Protocol.Ping));
   (f, c)
 
+(* Stalled pingers are evicted past their per-client budget; a budget
+   above the global limit lets one of them degrade the daemon first. *)
+let test_daemon_evicts_stalled_pinger () =
+  let pong = String.length (server_frame Protocol.Pong) in
+  let client_buffer = 4 * pong in
+  let _, d = daemon ~client_buffer () in
+  let _, c = stalled_pinger d 5 in
+  check Alcotest.bool "at the budget: kept" true (Daemon.alive c);
+  say d c [ Protocol.Ping ];
+  check Alcotest.bool "past the budget: evicted" false (Daemon.alive c);
+  check Alcotest.int "one eviction" 1 (health_int d "evicted");
+  check Alcotest.int "its output released" 0 (health_int d "backlog_bytes");
+  (* A reply larger than the budget still reaches a client that reads. *)
+  let f = fake ~room:0 () in
+  let reader = connect d f in
+  say d reader
+    [ Protocol.Submit { at = Some 0.; request = request (fft 2 0) };
+      Protocol.Drain ];
+  f.room <- max_int;
+  Daemon.flush d reader;
+  let before = Buffer.length f.out in
+  say d reader [ Protocol.Log ];
+  check Alcotest.bool "log reply exceeds the budget" true
+    (Buffer.length f.out - before > client_buffer);
+  check Alcotest.bool "large log reply kept" true (Daemon.alive reader);
+  check strings "log delivered" [ "ack"; "drained"; "log" ] (tags f)
+
 let test_daemon_degraded_hysteresis () =
   let pong = String.length (server_frame Protocol.Pong) in
   let backlog_limit = 10 * pong in
-  let _, d = daemon ~backlog_limit () in
+  let _, d = daemon ~client_buffer:(2 * backlog_limit) ~backlog_limit () in
   let f, c = stalled_pinger d 10 in
   check Alcotest.bool "at the limit: still ready" false (degraded d);
   say d c [ Protocol.Ping ];
@@ -983,7 +1010,8 @@ let test_daemon_degraded_hysteresis () =
 
 let test_daemon_sheds_while_degraded () =
   let pong = String.length (server_frame Protocol.Pong) in
-  let engine, d = daemon ~backlog_limit:(10 * pong) () in
+  let backlog_limit = 10 * pong in
+  let engine, d = daemon ~client_buffer:(2 * backlog_limit) ~backlog_limit () in
   let watching = fake () and other = fake () in
   let w = connect d watching and b = connect d other in
   say d w [ Protocol.Watch ];
@@ -1149,6 +1177,8 @@ let () =
             test_daemon_epipe;
           Alcotest.test_case "stalled watcher evicted" `Quick
             test_daemon_evicts_stalled_watcher;
+          Alcotest.test_case "stalled pinger evicted" `Quick
+            test_daemon_evicts_stalled_pinger;
           Alcotest.test_case "degraded hysteresis" `Quick
             test_daemon_degraded_hysteresis;
           Alcotest.test_case "sheds while degraded" `Quick

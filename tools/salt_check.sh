@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Cache-salt discipline: a diff that touches simulation/scheduling semantics
-# (lib/sim, lib/core, lib/dag, lib/redist) must bump the Cache.version salt
+# (lib/sim, lib/core, lib/dag, lib/redist) or the keys and payloads of the
+# experiment layer's cached results (lib/exp) must bump the Cache.version salt
 # in lib/runtime/cache.ml in the same range — otherwise a warm cache replays
 # results computed by the old semantics and the "bit-identical reruns"
 # guarantee silently inverts into "bit-identical wrong reruns".
@@ -52,7 +53,7 @@ if [ "$auto_base" -eq 1 ] \
     fi
 fi
 
-salted_dirs='^lib/(sim|core|dag|redist)/'
+salted_dirs='^lib/(sim|core|dag|redist|exp)/'
 
 touched=$(git diff --name-only "$base" -- | grep -E "$salted_dirs" || true)
 if [ -z "$touched" ]; then
@@ -66,7 +67,7 @@ if git diff "$base" -- lib/runtime/cache.ml | grep -qE '^[+-].*let version'; the
 fi
 
 cat >&2 <<EOF
-salt-check: lib/{sim,core,dag,redist} changed since $base without a
+salt-check: lib/{sim,core,dag,redist,exp} changed since $base without a
 Cache.version bump in lib/runtime/cache.ml:
 $(printf '%s\n' "$touched" | sed 's/^/  /')
 
